@@ -18,7 +18,6 @@ from .axion import (
     lineshape,
     lineshape_kernel,
     reference_amplitude,
-    signal_psd,
 )
 from .calibration import (
     CalibrationResult,

@@ -1,0 +1,124 @@
+"""On-disk artifacts: the versioned array format and atomic writes.
+
+Spectra (``.spec``) and grand spectra (``.dat``) share one binary layout:
+
+    haloscan-<kind> v2
+    {"bin_width_hz":100.0,"columns":["psd"],"n_bins":30000,...}
+    one .npy block per column, in the order the header lists them
+
+The second line is a canonical JSON object (sorted keys, no whitespace).
+It holds ``columns``, ``n_bins`` (the length of every column), the
+container's core keys and its typed metadata, and nothing that varies
+between runs (no timestamps, no paths), so a file's bytes depend on its
+content only.  Each column is a 1-D little-endian float64 array written
+by ``numpy.lib.format.write_array``; after the two header lines,
+``numpy.load`` on the open file returns the columns one after another.
+
+Version 1 was a text format; it is refused with a request to re-run the
+stages that write it.  Every writer here goes through ``atomic_open``:
+the file is written as ``<path>.tmp`` and renamed over the target, so a
+reader never sees a half-written artifact.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+
+import numpy as np
+
+from .errors import DataError
+
+FORMAT_VERSION = 2
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open ``<path>.tmp`` for writing; rename it over ``path`` on success."""
+    tmp = f"{path}.tmp"
+    with open(tmp, mode) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def write_json(payload, path):
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_array_file(path, kind, core, metadata, columns):
+    """Write ``columns`` (name -> 1-D array) under a header of ``core``
+    plus ``metadata``; a metadata key may not shadow a core key."""
+    arrays = {name: np.asarray(values, dtype=np.float64) for name, values in columns.items()}
+    n_bins = next(iter(arrays.values())).size
+    for name, array in arrays.items():
+        if array.shape != (n_bins,):
+            raise DataError(f"{kind} column {name!r} has shape {array.shape}, "
+                            f"expected ({n_bins},)")
+    header = dict(core, columns=list(arrays), n_bins=n_bins)
+    for key, value in metadata.items():
+        if key in header:
+            raise DataError(f"metadata key {key!r} collides with a core header key")
+        header[key] = value
+    try:
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    except TypeError as exc:
+        raise DataError(f"{kind} header holds a value JSON cannot store: {exc}") from exc
+    with atomic_open(path, "wb") as fh:
+        fh.write(f"haloscan-{kind} v{FORMAT_VERSION}\n{text}\n".encode())
+        for array in arrays.values():
+            np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def read_array_file(path, kind, core_keys, column_names):
+    """Read a file written by ``write_array_file``.
+
+    Returns ``(core, metadata, columns)``; raises DataError on any format
+    problem, including a column list other than ``column_names``.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {kind} file: {exc}") from exc
+    with fh:
+        header = _read_header(fh, path, kind)
+        if header.pop("columns", None) != list(column_names):
+            raise DataError(f"{path}: expected columns {list(column_names)}")
+        n_bins = header.pop("n_bins", None)
+        missing = [key for key in core_keys if key not in header]
+        if missing or not isinstance(n_bins, int):
+            raise DataError(f"{path}: missing header keys {missing or ['n_bins']}")
+        try:
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in column_names]
+            trailing = fh.read(1)
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path}: malformed column payload: {exc}") from exc
+    for name, array in zip(column_names, arrays):
+        if array.dtype != np.float64 or array.shape != (n_bins,):
+            raise DataError(f"{path}: header declares {n_bins} bins, column {name!r} "
+                            f"holds {array.dtype} of shape {array.shape}")
+    if trailing:
+        raise DataError(f"{path}: trailing bytes after the last column")
+    core = {key: header.pop(key) for key in core_keys}
+    return core, header, dict(zip(column_names, arrays))
+
+
+def _read_header(fh, path, kind):
+    magic = fh.readline(64).decode("ascii", "replace").strip()
+    name, _, version = magic.partition(" ")
+    if name != f"haloscan-{kind}":
+        raise DataError(f"{path}: not a {kind} file (got {magic[:40]!r})")
+    if version == "v1":
+        raise DataError(f"{path}: {kind} file in the retired v1 text format; "
+                        f"re-run `haloscan simulate` and the later stages to rewrite it")
+    if version != f"v{FORMAT_VERSION}":
+        raise DataError(f"{path}: unsupported format version {version!r}")
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: malformed header: not a JSON object")
+    return header

@@ -161,23 +161,6 @@ def canonical_kernel(nu_ref_hz, params):
     return weights[:stop]
 
 
-def signal_psd(delta, hypothesis, receiver, params):
-    """Delivered axion signal PSD (quanta) at detuning delta from resonance.
-
-    Each spectral component of the signal enters the cavity with the
-    absorption profile at its own detuning, so the delivered PSD is the
-    lineshape density times g^2 A_ref (1 - |Gamma(delta)|^2).  The
-    normalization A_ref follows from the hypothesis' snr_ref via
-    reference_amplitude.
-    """
-    delta = np.asarray(delta, dtype=float)
-    nu = receiver.nu_c + delta
-    a_ref = reference_amplitude(hypothesis, receiver, params)
-    absorbed = cavity_absorption(delta, receiver.kappa_l, receiver.beta)
-    out = hypothesis.g_ksvz**2 * a_ref * absorbed * lineshape(nu, hypothesis.nu_a_hz, params)
-    return float(out) if out.ndim == 0 else out
-
-
 def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
     """Total delivered signal power normalization A_ref (quanta * Hz).
 

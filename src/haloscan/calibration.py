@@ -16,11 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ConfigError, DataError
 from .receiver import VACUUM_QUANTA, cavity_reflectance, thermal_quanta
 
@@ -320,11 +320,7 @@ def write_calibration_results(results, path):
             for r in sorted(results, key=lambda r: r.step_id)
         ],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(payload, path)
 
 
 def read_calibration_results(path):

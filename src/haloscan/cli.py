@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .artifacts import atomic_open, write_json
 from .axion import AxionHypothesis
 from .calibration import (
     read_calibration_results,
@@ -37,7 +38,6 @@ from .pipeline import (
     process_group,
     read_grand_spectrum,
     write_grand_spectrum,
-    write_json,
 )
 from .receiver import noise_budget, report_enhancement
 from .spectra import (
@@ -141,6 +141,21 @@ def _relpaths(ws, paths):
     return [os.path.relpath(p, ws.root) for p in paths]
 
 
+def _provenance(cfg):
+    """Stamp for the metadata of every spectrum and grand spectrum written."""
+    return {"config_hash": cfg.hash(), "master_seed": cfg.master_seed}
+
+
+def _check_seed(cfg, metadata, source):
+    """Refuse an input written under a different master seed."""
+    seed = metadata.get("master_seed")
+    if seed != cfg.master_seed:
+        raise DataError(
+            f"{source} was written under master_seed {seed!r}, but this run uses "
+            f"{cfg.master_seed}; re-run simulate and the later stages with one seed"
+        )
+
+
 # -- stages ---------------------------------------------------------
 
 
@@ -168,24 +183,31 @@ def stage_simulate(cfg, ws, threads):
         threads=threads,
     )
     os.makedirs(ws.spectra_dir, exist_ok=True)
+    stamp = _provenance(cfg)
     artifacts = []
     for spectrum in spectra:
         path = ws.step_file(spectrum.step_id)
+        spectrum.metadata.update(stamp)
         write_spectrum(spectrum, path)
         artifacts.append(path)
     for calset in calsets:
         directory = ws.calset_dir(calset.step_id)
+        for spectrum in calset.spectra().values():
+            spectrum.metadata.update(stamp)
         write_calibration_set(calset, directory)
         artifacts.append(directory)
     _update_manifest(ws, cfg, "simulate", _relpaths(ws, artifacts))
     log.info("wrote %d spectra, %d calibration sets", len(spectra), len(calsets))
 
 
-def _load_spectra(ws):
+def _load_spectra(cfg, ws):
     paths = sorted(glob.glob(os.path.join(ws.spectra_dir, "step_*.spec")))
     if not paths:
         raise DataError(f"no spectra found under {ws.spectra_dir}; run simulate first")
-    return [read_spectrum(p) for p in paths]
+    spectra = [read_spectrum(p) for p in paths]
+    for path, spectrum in zip(paths, spectra):
+        _check_seed(cfg, spectrum.metadata, path)
+    return spectra
 
 
 def stage_calibrate(cfg, ws):
@@ -204,11 +226,13 @@ def stage_calibrate(cfg, ws):
 
 def _calibrate_one(cfg, geometry, directory):
     calset = read_calibration_set(directory)
+    for role, spectrum in calset.spectra().items():
+        _check_seed(cfg, spectrum.metadata, os.path.join(directory, f"{role}.spec"))
     return run_calibration(calset, geometry, eta=cfg.get("receiver", "eta"))
 
 
 def stage_process(cfg, ws, threads):
-    spectra = _load_spectra(ws)
+    spectra = _load_spectra(cfg, ws)
     if not os.path.exists(ws.cal_results):
         raise DataError(f"{ws.cal_results} not found; run calibrate first")
     cal_results = read_calibration_results(ws.cal_results)
@@ -224,6 +248,7 @@ def stage_process(cfg, ws, threads):
     )
     artifacts = [ws.grand, ws.path("cut_log.json"),
                  ws.path("filter_report.json"), ws.path("rescan_candidates.json")]
+    out.grand.metadata.update(_provenance(cfg))
     write_grand_spectrum(out.grand, ws.grand)
     write_json(out.cut_log.to_dict(), ws.path("cut_log.json"))
     write_json(
@@ -273,15 +298,18 @@ def _rescan_followup(cfg, ws, out, cal_results, threads):
     )
     spectra_dir = os.path.join(ws.rescan_dir, "spectra")
     os.makedirs(spectra_dir, exist_ok=True)
+    stamp = _provenance(cfg)
     artifacts = []
     for spectrum in rescans:
         path = os.path.join(spectra_dir, f"step_{spectrum.step_id:05d}.spec")
+        spectrum.metadata.update(stamp)
         write_spectrum(spectrum, path)
         artifacts.append(path)
     grand, _, _, _ = process_group(
         rescans, cal_results, geometry, lineshape, settings,
         tau_s=tau_s, snr_ref=snr_ref, threads=threads,
     )
+    grand.metadata.update(stamp)
     write_grand_spectrum(grand, ws.rescan_grand)
     refl = flag_rescans(grand, settings.rescan_threshold_sigma, settings.merge_width_bins)
     write_json(refl.to_dict(), os.path.join(ws.rescan_dir, "candidates.json"))
@@ -298,13 +326,19 @@ def _rescan_followup(cfg, ws, out, cal_results, threads):
     return artifacts
 
 
+def _read_grand(cfg, path):
+    grand = read_grand_spectrum(path)
+    _check_seed(cfg, grand.metadata, path)
+    return grand
+
+
 def stage_exclude(cfg, ws):
     if not os.path.exists(ws.grand):
         raise DataError(f"{ws.grand} not found; run process first")
-    initial = read_grand_spectrum(ws.grand)
+    initial = _read_grand(cfg, ws.grand)
     followups = []
     if os.path.exists(ws.rescan_grand):
-        followups.append(read_grand_spectrum(ws.rescan_grand))
+        followups.append(_read_grand(cfg, ws.rescan_grand))
     band = (cfg.get("campaign", "lo_hz"), cfg.get("campaign", "hi_hz"))
     result = run_exclusion(
         initial,
@@ -337,11 +371,9 @@ def stage_exclude(cfg, ws):
 
 
 def _write_budget_csv(budget, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(budget.CSV_COLUMNS) + "\n")
         np.savetxt(fh, budget.columns(), fmt="%.10e", delimiter=",")
-    os.replace(tmp, path)
 
 
 def stage_budget(cfg, ws):
@@ -454,19 +486,14 @@ def _configure_logging():
         "error": logging.ERROR,
     }
     if level_name not in levels:
-        print(
-            json.dumps({"error": "ConfigError",
-                        "message": f"HALOSCAN_LOG must be one of {sorted(levels)}, "
-                                   f"got {level_name!r}"}),
-            file=sys.stderr,
+        raise ConfigError(
+            f"HALOSCAN_LOG must be one of {sorted(levels)}, got {level_name!r}"
         )
-        return None
     logging.basicConfig(
         stream=sys.stderr,
         level=levels[level_name],
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return levels[level_name]
 
 
 def _fail(exc, code):
@@ -479,8 +506,10 @@ def _fail(exc, code):
 
 
 def main(argv=None):
-    if _configure_logging() is None:
-        return 2
+    try:
+        _configure_logging()
+    except ConfigError as exc:
+        return _fail(exc, 2)
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command

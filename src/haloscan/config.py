@@ -71,7 +71,8 @@ def _parse_injections(text):
 
 
 def _parse_types(text):
-    items = tuple(t.strip() for t in text.split(",") if t.strip())
+    """Space-separated anomaly type names, e.g. 'drift jpa_sag probe'."""
+    items = tuple(text.split())
     for t in items:
         if t not in ANOMALY_TYPES:
             raise ValueError(f"unknown anomaly type {t!r}")

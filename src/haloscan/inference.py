@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .artifacts import atomic_open, write_json
 from .errors import ConfigError, DataError
 
 DEFAULT_TARGET = 0.1
@@ -309,24 +310,20 @@ def write_exclusion_result(result, out_dir):
         "aggregate_u": [float(u) for u in result.aggregate_u],
         "metadata": result.metadata,
     }
-    tmp = os.path.join(out_dir, "exclusion.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "exclusion.json"))
+    write_json(payload, os.path.join(out_dir, "exclusion.json"))
 
-    with open(os.path.join(out_dir, "exclusion_curve.csv"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "exclusion_curve.csv")) as fh:
         fh.write("g_ksvz,aggregate_u\n")
         for g, u in zip(result.g_grid, result.aggregate_u):
             fh.write(f"{float(g)!r},{float(u)!r}\n")
 
-    with open(os.path.join(out_dir, "window_contours.csv"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "window_contours.csv")) as fh:
         fh.write("window_lo_hz,window_hi_hz,g_at_target\n")
         for lo, hi, g in zip(result.window_lo, result.window_hi, result.window_contour):
             g_text = "" if math.isnan(g) else repr(float(g))
             fh.write(f"{float(lo)!r},{float(hi)!r},{g_text}\n")
 
-    with open(os.path.join(out_dir, "window_surface.csv"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "window_surface.csv")) as fh:
         header = ",".join(repr(float(g)) for g in result.g_grid)
         fh.write(f"window_lo_hz,window_hi_hz,{header}\n")
         for i in range(result.window_lo.size):

@@ -19,19 +19,21 @@ relevant lags and is dropped.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import savgol_coeffs, savgol_filter
 
+from .artifacts import read_array_file, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
 from .receiver import cavity_absorption, noise_budget
+
+# Kernel coverage below which a grand-spectrum bin is flagged invalid.
+MIN_SUPPORT = 0.999
 
 
 @dataclass(frozen=True)
@@ -448,7 +450,7 @@ def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_r
     )
 
 
-def coadd_grand(combined, report, *, min_support=0.999):
+def coadd_grand(combined, report, *, min_support=MIN_SUPPORT):
     """Matched-filter coadd over the lineshape span at every RF bin.
 
     x_q = sum_k w_k num_{q+k}, standardized by the filtered-noise
@@ -613,91 +615,31 @@ def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau
     )
 
 
-GRAND_MAGIC = "haloscan-grand"
-GRAND_VERSION = 1
+_GRAND_CORE_KEYS = ("rf_start_hz", "bin_width_hz")
+_GRAND_COLUMNS = ("x", "eta_sens", "n_contrib", "support")
 
 
 def write_grand_spectrum(grand, path):
-    """Columnar grand-spectrum file: header lines then
-    nu_hz x eta_sens n_contrib support rows."""
-    lines = [f"{GRAND_MAGIC} v{GRAND_VERSION}\n"]
-    header = {
-        "rf_start_hz": grand.rf_start_hz,
-        "bin_width_hz": grand.bin_width_hz,
-        "n_bins": grand.x.size,
-    }
-    for key, value in header.items():
-        lines.append(f"# {key} {value!r}\n")
-    for key in sorted(grand.metadata):
-        lines.append(f"# {key} {grand.metadata[key]}\n")
-    freqs = grand.frequencies
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-        for i in range(grand.x.size):
-            fh.write(
-                f"{freqs[i]:.1f} {float(grand.x[i])!r} {float(grand.eta_sens[i])!r} "
-                f"{int(grand.n_contrib[i])} {grand.support[i]:.6f}\n"
-            )
-    os.replace(tmp, path)
+    """Grand spectrum in the versioned array format (see ``artifacts``):
+    x, eta_sens, n_contrib and support columns; valid is recomputed on read."""
+    core = {"rf_start_hz": float(grand.rf_start_hz), "bin_width_hz": float(grand.bin_width_hz)}
+    columns = {name: getattr(grand, name) for name in _GRAND_COLUMNS}
+    write_array_file(path, "grand", core, grand.metadata, columns)
 
 
 def read_grand_spectrum(path):
+    core, metadata, columns = read_array_file(path, "grand", _GRAND_CORE_KEYS, _GRAND_COLUMNS)
     try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot open grand spectrum: {exc}") from exc
-    with fh:
-        magic = fh.readline().strip()
-        if not magic.startswith(GRAND_MAGIC):
-            raise DataError(f"{path}: not a grand spectrum file")
-        if magic[len(GRAND_MAGIC):].strip() != f"v{GRAND_VERSION}":
-            raise DataError(f"{path}: unsupported version")
-        header = {}
-        pos = fh.tell()
-        while True:
-            line = fh.readline()
-            if not line.startswith("#"):
-                break
-            key, value = line[1:].strip().split(" ", 1)
-            header[key] = value
-            pos = fh.tell()
-        fh.seek(pos)
-        try:
-            data = np.loadtxt(fh, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed rows: {exc}") from exc
-    if data.shape[1] != 5:
-        raise DataError(f"{path}: expected 5 columns, got {data.shape[1]}")
-    try:
-        rf_start = float(header["rf_start_hz"])
-        db = float(header["bin_width_hz"])
-        n = int(header["n_bins"])
-    except (KeyError, ValueError) as exc:
+        rf_start, db = float(core["rf_start_hz"]), float(core["bin_width_hz"])
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad header: {exc}") from exc
-    if n != data.shape[0]:
-        raise DataError(f"{path}: header declares {n} rows, file holds {data.shape[0]}")
-    support = data[:, 4]
-    grand = GrandSpectrum(
+    return GrandSpectrum(
         rf_start_hz=rf_start,
         bin_width_hz=db,
-        x=data[:, 1],
-        eta_sens=data[:, 2],
-        n_contrib=data[:, 3].astype(np.int32),
-        support=support,
-        valid=(data[:, 2] > 0) & (support >= 0.999),
-        metadata={
-            k: v
-            for k, v in header.items()
-            if k not in ("rf_start_hz", "bin_width_hz", "n_bins")
-        },
+        x=columns["x"],
+        eta_sens=columns["eta_sens"],
+        n_contrib=columns["n_contrib"].astype(np.int32),
+        support=columns["support"],
+        valid=(columns["eta_sens"] > 0) & (columns["support"] >= MIN_SUPPORT),
+        metadata=metadata,
     )
-    return grand
-
-
-def write_json(payload, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)

@@ -1,26 +1,24 @@
-"""Spectrum containers and the on-disk columnar format.
+"""Spectrum containers and their files.
 
-A spectrum file is plain text: a version line, ``# key value`` header
-lines, then one PSD sample per line.  The format is deliberately dumb so
-that spectra diff cleanly and survive language changes.  Frequencies refer
-to bin centers; bin k sits at ``nu_start + k * bin_width``.
+A spectrum file holds the PSD as the single column of the versioned
+array format in ``artifacts``; the header carries the core keys below
+and the typed metadata.  Frequencies refer to bin centers; bin k sits at
+``nu_start + k * bin_width``.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_array_file, write_array_file
 from .errors import DataError
 
-FORMAT_VERSION = 1
-_MAGIC = "haloscan-spectrum"
-
-# Header keys that are structural rather than free-form metadata.
-_CORE_KEYS = ("step_id", "nu_start_hz", "bin_width_hz", "n_bins", "n_averages")
+# Header keys that are structural rather than free-form metadata; the
+# format adds ``n_bins`` and ``columns``.
+_CORE_KEYS = ("step_id", "nu_start_hz", "bin_width_hz", "n_averages")
 
 
 @dataclass
@@ -91,102 +89,28 @@ class CalibrationSet:
         return {role: getattr(self, role) for role in self.ROLES}
 
 
-def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _parse_value(text):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        as_int = int(text)
-    except ValueError:
-        pass
-    else:
-        return as_int
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def write_spectrum(spectrum, path):
-    """Write one spectrum in the versioned columnar format."""
-    lines = [f"{_MAGIC} v{FORMAT_VERSION}\n"]
-    header = {
-        "step_id": spectrum.step_id,
-        "nu_start_hz": spectrum.nu_start_hz,
-        "bin_width_hz": spectrum.bin_width_hz,
-        "n_bins": spectrum.n_bins,
-        "n_averages": spectrum.n_averages,
+    """Write one spectrum in the versioned array format (see ``artifacts``)."""
+    core = {
+        "step_id": int(spectrum.step_id),
+        "nu_start_hz": float(spectrum.nu_start_hz),
+        "bin_width_hz": float(spectrum.bin_width_hz),
+        "n_averages": int(spectrum.n_averages),
     }
-    for key, value in header.items():
-        lines.append(f"# {key} {_format_value(value)}\n")
-    for key in sorted(spectrum.metadata):
-        if key in _CORE_KEYS:
-            raise DataError(f"metadata key {key!r} collides with a core header key")
-        lines.append(f"# {key} {_format_value(spectrum.metadata[key])}\n")
-    buf = io.StringIO()
-    np.savetxt(buf, spectrum.psd, fmt="%.17g")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    write_array_file(path, "spectrum", core, spectrum.metadata, {"psd": spectrum.psd})
 
 
 def read_spectrum(path):
     """Read a spectrum file; raises DataError on any format problem."""
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot open spectrum: {exc}") from exc
-    with fh:
-        magic = fh.readline().strip()
-        if not magic.startswith(_MAGIC):
-            raise DataError(f"{path}: not a spectrum file (got {magic!r})")
-        version = magic[len(_MAGIC):].strip()
-        if version != f"v{FORMAT_VERSION}":
-            raise DataError(f"{path}: unsupported format version {version!r}")
-        header = {}
-        pos = fh.tell()
-        while True:
-            line = fh.readline()
-            if not line.startswith("#"):
-                break
-            try:
-                key, value = line[1:].strip().split(" ", 1)
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed header line {line!r}") from exc
-            header[key] = _parse_value(value)
-            pos = fh.tell()
-        fh.seek(pos)
-        try:
-            psd = np.loadtxt(fh, dtype=float, ndmin=1)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed PSD block: {exc}") from exc
-    missing = [key for key in _CORE_KEYS if key not in header]
-    if missing:
-        raise DataError(f"{path}: missing header keys {missing}")
-    core = {key: header.pop(key) for key in _CORE_KEYS}
-    if core["n_bins"] != psd.size:
-        raise DataError(
-            f"{path}: header declares {core['n_bins']} bins, file holds {psd.size}"
-        )
+    core, metadata, columns = read_array_file(path, "spectrum", _CORE_KEYS, ("psd",))
     try:
         return RawSpectrum(
             step_id=int(core["step_id"]),
             nu_start_hz=float(core["nu_start_hz"]),
             bin_width_hz=float(core["bin_width_hz"]),
-            psd=psd,
+            psd=columns["psd"],
             n_averages=int(core["n_averages"]),
-            metadata=header,
+            metadata=metadata,
         )
     except DataError:
         raise

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,13 @@ def make_receiver(**overrides):
 
 def rng_array(seed, n):
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def split_array_file(path):
+    """(magic line, header dict, column payload) of a versioned array file."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    return magic, json.loads(header), payload
+
+
+def join_array_file(path, magic, header, payload):
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)

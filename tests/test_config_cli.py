@@ -1,5 +1,6 @@
 """Configuration resolution, provenance hashing, and the CLI driver."""
 
+import hashlib
 import json
 import logging
 import os
@@ -75,6 +76,13 @@ class TestConfigResolution:
         )
         assert cfg.get("receiver", "beta") == 2.8
         assert cfg.get("receiver", "g_s") == 0.10
+
+    def test_anomaly_types_space_separated(self, tmp_path):
+        # the README documents the key in this form
+        cfg = load_config(
+            write_ini(tmp_path / "t.ini", "[anomalies]\ntypes = drift jpa_sag probe\n")
+        )
+        assert cfg.get("anomalies", "types") == ("drift", "jpa_sag", "probe")
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_ini(tmp_path / "s.ini", "[reciever]\nbeta = 2\n")
@@ -248,6 +256,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def artifact_digests(root):
+    """sha256 of every file under ``root`` except the sidecar."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "sidecar.json"
+    }
+
+
 class TestPipelineViaCli:
     def test_simulate_artifacts(self, cli_run):
         _, out = cli_run
@@ -287,6 +304,20 @@ class TestPipelineViaCli:
         payload = read_json(out / "calibration_results.json")
         assert payload["format"] == "haloscan-calibration"
         assert [r["step_id"] for r in payload["results"]] == [0, 2, 4]
+
+    def test_artifacts_carry_provenance(self, cli_run):
+        ini, out = cli_run
+        stamp = {"config_hash": load_config(ini).hash(), "master_seed": 4242}
+        spectra = [
+            out / "spectra" / "step_00004.spec",
+            out / "calibration" / "step_00002" / "hot.spec",
+            *sorted((out / "rescans" / "spectra").iterdir()),
+        ]
+        for path in spectra:
+            meta = read_spectrum(path).metadata
+            assert {k: meta[k] for k in stamp} == stamp
+        for path in (out / "grand_spectrum.dat", out / "rescans" / "grand_spectrum.dat"):
+            assert read_grand_spectrum(path).metadata == stamp
 
     def test_process_artifacts(self, cli_run):
         _, out = cli_run
@@ -342,12 +373,10 @@ class TestDeterminismAndStages:
     def test_threads_do_not_change_artifacts(self, cli_run, tmp_path):
         ini, out_all = cli_run
         out = tmp_path / "mt"
-        assert run_cli(
-            "simulate", "--config", ini, "--out", out, "--threads", "3"
-        ) == 0
-        assert (out / "spectra" / "step_00002.spec").read_bytes() == (
-            out_all / "spectra" / "step_00002.spec"
-        ).read_bytes()
+        assert run_cli("all", "--config", ini, "--out", out, "--threads", "3") == 0
+        digests = artifact_digests(out)
+        assert "grand_spectrum.dat" in digests
+        assert digests == artifact_digests(out_all)
 
     def test_seed_override_changes_artifacts(self, cli_run, tmp_path):
         ini, out_all = cli_run
@@ -463,6 +492,40 @@ class TestFailureModes:
         assert run_cli("exclude", "--config", ini, "--out", tmp_path / "o") == 4
         assert stderr_payload(capsys)["error"] == "DataError"
 
+    def test_mixed_seeds_refused(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
+        out = tmp_path / "o"
+        for stage in ("simulate", "calibrate"):
+            assert run_cli(stage, "--config", ini, "--out", out, "--seed-override", "1") == 0
+        assert run_cli("process", "--config", ini, "--out", out, "--seed-override", "2") == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert payload["exit_code"] == 4
+        assert "master_seed 1" in payload["message"]
+        assert not (out / "grand_spectrum.dat").exists()
+
+    @pytest.mark.parametrize("stage", ["calibrate", "exclude"])
+    def test_stage_refuses_other_seed(self, cli_run, tmp_path, capsys, stage):
+        ini, out_all = cli_run
+        out = tmp_path / "copy"
+        shutil.copytree(out_all, out)
+        assert run_cli(stage, "--config", ini, "--out", out, "--seed-override", "2") == 4
+        payload = stderr_payload(capsys)
+        assert payload["exit_code"] == 4
+        assert "master_seed 4242" in payload["message"]
+
+    def test_v1_text_spectrum_exits_4(self, cli_run, tmp_path, capsys):
+        ini, out_all = cli_run
+        out = tmp_path / "old"
+        shutil.copytree(out_all, out)
+        (out / "spectra" / "step_00001.spec").write_text(
+            "haloscan-spectrum v1\n# step_id 1\n# n_bins 1\n1.0\n"
+        )
+        assert run_cli("process", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert "simulate" in payload["message"]
+
     def test_output_path_collision_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
         blocker = tmp_path / "file_not_dir"
@@ -476,7 +539,10 @@ class TestLogging:
         monkeypatch.setenv("HALOSCAN_LOG", "chatty")
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
         assert run_cli("budget", "--config", ini, "--out", tmp_path / "o") == 2
-        assert "HALOSCAN_LOG" in stderr_payload(capsys)["message"]
+        payload = stderr_payload(capsys)
+        assert "HALOSCAN_LOG" in payload["message"]
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
 
     def test_info_level_reports_progress(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HALOSCAN_LOG", "info")

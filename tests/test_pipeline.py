@@ -35,7 +35,7 @@ from haloscan import (
     write_grand_spectrum,
 )
 from haloscan.pipeline import _signal_coefficient
-from conftest import REF_NU, make_receiver
+from conftest import REF_NU, join_array_file, make_receiver, split_array_file
 
 # RF window sized for the 4000-bin test bands (defaults assume 30000)
 SMALL_BAND = ProcessSettings(rf_window_bins=301, rf_order=4)
@@ -527,8 +527,9 @@ class TestGrandFile:
             n=200,
             x=rng.standard_normal(200),
             eta_sens=np.abs(rng.standard_normal(200)) + 0.1,
-            support=np.where(rng.random(200) < 0.1, 0.5, 1.0),
-            metadata={"config_hash": "abc123", "master_seed": "7"},
+            n_contrib=rng.integers(0, 50, 200).astype(np.int32),
+            support=np.where(rng.random(200) < 0.1, 0.5, rng.uniform(0.999, 1.0, 200)),
+            metadata={"config_hash": "abc123", "master_seed": 7},
         )
         grand.valid = (grand.eta_sens > 0) & (grand.support >= 0.999)
         path = tmp_path / "grand.dat"
@@ -536,40 +537,77 @@ class TestGrandFile:
         back = read_grand_spectrum(path)
         np.testing.assert_array_equal(back.x, grand.x)
         np.testing.assert_array_equal(back.eta_sens, grand.eta_sens)
+        np.testing.assert_array_equal(back.n_contrib, grand.n_contrib)
+        assert back.n_contrib.dtype == np.int32
         np.testing.assert_array_equal(back.valid, grand.valid)
-        np.testing.assert_allclose(back.support, grand.support, atol=1e-6)
-        assert back.metadata["config_hash"] == "abc123"
+        np.testing.assert_array_equal(back.support, grand.support)
+        assert back.metadata == {"config_hash": "abc123", "master_seed": 7}
         assert back.rf_start_hz == grand.rf_start_hz
+
+    def test_write_is_deterministic(self, tmp_path):
+        grand = make_grand(n=50, metadata={"master_seed": 7, "config_hash": "abc"})
+        write_grand_spectrum(grand, tmp_path / "a.dat")
+        write_grand_spectrum(grand, tmp_path / "b.dat")
+        assert (tmp_path / "a.dat").read_bytes() == (tmp_path / "b.dat").read_bytes()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.dat"
-        path.write_text("something-else v1\n")
+        path.write_bytes(b"something-else v2\n{}\n")
         with pytest.raises(DataError):
             read_grand_spectrum(path)
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "bad.dat"
-        path.write_text("haloscan-grand v9\n")
-        with pytest.raises(DataError):
+        path.write_bytes(b"haloscan-grand v9\n")
+        with pytest.raises(DataError, match="version"):
+            read_grand_spectrum(path)
+
+    def test_v1_text_file_refused(self, tmp_path):
+        path = tmp_path / "old.dat"
+        path.write_text(
+            "haloscan-grand v1\n# rf_start_hz 4149700000.0\n# bin_width_hz 100.0\n"
+            "# n_bins 1\n4149700000.0 0.1 1.0 3 1.000000\n"
+        )
+        with pytest.raises(DataError, match="re-run `haloscan simulate`"):
             read_grand_spectrum(path)
 
     def test_row_count_mismatch(self, tmp_path):
-        grand = make_grand(n=50)
         path = tmp_path / "grand.dat"
-        write_grand_spectrum(grand, path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-1]))
-        with pytest.raises(DataError):
+        write_grand_spectrum(make_grand(n=50), path)
+        magic, header, payload = split_array_file(path)
+        header["n_bins"] = 49
+        join_array_file(path, magic, header, payload)
+        with pytest.raises(DataError, match="49 bins"):
             read_grand_spectrum(path)
 
     def test_malformed_rows(self, tmp_path):
-        grand = make_grand(n=10)
         path = tmp_path / "grand.dat"
-        write_grand_spectrum(grand, path)
-        text = path.read_text().replace("0.0 ", "zap ", 1)
-        path.write_text(text)
+        write_grand_spectrum(make_grand(n=10), path)
+        magic, header, payload = split_array_file(path)
+        join_array_file(path, magic, header, payload.replace(b"\x93NUMPY", b"zapzap", 1))
         with pytest.raises(DataError):
             read_grand_spectrum(path)
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "grand.dat"
+        write_grand_spectrum(make_grand(n=10), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError):
+            read_grand_spectrum(path)
+
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "grand.dat"
+        write_grand_spectrum(make_grand(n=10), path)
+        magic, header, payload = split_array_file(path)
+        del header["rf_start_hz"]
+        join_array_file(path, magic, header, payload)
+        with pytest.raises(DataError, match="rf_start_hz"):
+            read_grand_spectrum(path)
+
+    def test_metadata_key_collision(self, tmp_path):
+        grand = make_grand(n=10, metadata={"bin_width_hz": 50.0})
+        with pytest.raises(DataError):
+            write_grand_spectrum(grand, tmp_path / "c.dat")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,4 +1,6 @@
-"""Container validation and versioned columnar file round trips."""
+"""Container validation and versioned array file round trips."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from haloscan import (
     write_calibration_set,
     write_spectrum,
 )
+from haloscan.artifacts import atomic_open
+from conftest import join_array_file, split_array_file
 
 
 def make_spectrum(step_id=3, n=64, seed=5, **meta):
@@ -58,10 +62,17 @@ class TestRawSpectrum:
             RawSpectrum(**kwargs)
 
 
+V1_TEXT_SPECTRUM = (
+    "haloscan-spectrum v1\n# step_id 3\n# nu_start_hz 4138500000.0\n"
+    "# bin_width_hz 100.0\n# n_bins 2\n# n_averages 360000\n1.0\n2.0\n"
+)
+
+
 class TestSpectrumFile:
     def test_round_trip_exact(self, tmp_path):
         s = make_spectrum(
-            flag=True, note="nominal", probe_power=1.0172, freq_drift_hz=312.5, count=7
+            flag=True, note="nominal", probe_power=1.0172, freq_drift_hz=312.5, count=7,
+            label="7",
         )
         path = tmp_path / "s.spec"
         write_spectrum(s, path)
@@ -70,12 +81,13 @@ class TestSpectrumFile:
         assert back.nu_start_hz == s.nu_start_hz
         assert back.bin_width_hz == s.bin_width_hz
         assert back.n_averages == s.n_averages
-        np.testing.assert_array_equal(back.psd, s.psd)  # %.17g is lossless
+        np.testing.assert_array_equal(back.psd, s.psd)  # float64 on disk: exact
         assert back.metadata["flag"] is True
         assert back.metadata["note"] == "nominal"
         assert back.metadata["probe_power"] == 1.0172
         assert back.metadata["freq_drift_hz"] == 312.5
         assert back.metadata["count"] == 7
+        assert back.metadata["label"] == "7"  # typed: a numeric string stays a string
 
     def test_write_is_deterministic(self, tmp_path):
         s = make_spectrum(b="2", a="1")
@@ -83,27 +95,67 @@ class TestSpectrumFile:
         write_spectrum(s, tmp_path / "y.spec")
         assert (tmp_path / "x.spec").read_bytes() == (tmp_path / "y.spec").read_bytes()
 
+    def test_columns_load_with_numpy(self, tmp_path):
+        s = make_spectrum(n=16)
+        path = tmp_path / "s.spec"
+        write_spectrum(s, path)
+        with open(path, "rb") as fh:
+            assert fh.readline() == b"haloscan-spectrum v2\n"
+            assert json.loads(fh.readline())["columns"] == ["psd"]
+            np.testing.assert_array_equal(np.load(fh), s.psd)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.spec"
-        p.write_text("something else v1\n1.0\n")
+        p.write_bytes(b"something else v2\n{}\n")
         with pytest.raises(DataError):
             read_spectrum(p)
 
     def test_unsupported_version(self, tmp_path):
-        s = make_spectrum()
         p = tmp_path / "v.spec"
-        write_spectrum(s, p)
-        text = p.read_text().replace("v1", "v9", 1)
-        p.write_text(text)
-        with pytest.raises(DataError):
+        write_spectrum(make_spectrum(), p)
+        _, header, payload = split_array_file(p)
+        join_array_file(p, b"haloscan-spectrum v9", header, payload)
+        with pytest.raises(DataError, match="version"):
+            read_spectrum(p)
+
+    def test_v1_text_file_refused(self, tmp_path):
+        p = tmp_path / "old.spec"
+        p.write_text(V1_TEXT_SPECTRUM)
+        with pytest.raises(DataError, match="re-run `haloscan simulate`"):
             read_spectrum(p)
 
     def test_row_count_mismatch(self, tmp_path):
-        s = make_spectrum(n=16)
         p = tmp_path / "t.spec"
-        write_spectrum(s, p)
-        lines = p.read_text().splitlines(keepends=True)
-        p.write_text("".join(lines[:-3]))
+        write_spectrum(make_spectrum(n=16), p)
+        magic, header, payload = split_array_file(p)
+        header["n_bins"] = 13
+        join_array_file(p, magic, header, payload)
+        with pytest.raises(DataError, match="13 bins"):
+            read_spectrum(p)
+
+    @pytest.mark.parametrize("cut", [8, 100, 190])
+    def test_truncated_payload(self, tmp_path, cut):
+        p = tmp_path / "t.spec"
+        write_spectrum(make_spectrum(n=16), p)
+        magic, header, payload = split_array_file(p)
+        # 190 of the 256 payload bytes cut reaches into the .npy header
+        join_array_file(p, magic, header, payload[:-cut])
+        with pytest.raises(DataError):
+            read_spectrum(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "t.spec"
+        write_spectrum(make_spectrum(n=16), p)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            read_spectrum(p)
+
+    @pytest.mark.parametrize("line", [b"{not json", b"[1, 2]", b'{"columns": ["psd"]}'])
+    def test_malformed_header(self, tmp_path, line):
+        p = tmp_path / "h.spec"
+        write_spectrum(make_spectrum(n=16), p)
+        magic, _, payload = p.read_bytes().split(b"\n", 2)
+        p.write_bytes(magic + b"\n" + line + b"\n" + payload)
         with pytest.raises(DataError):
             read_spectrum(p)
 
@@ -111,10 +163,22 @@ class TestSpectrumFile:
         s = make_spectrum(n_bins=99)  # shadows a core header key
         with pytest.raises(DataError):
             write_spectrum(s, tmp_path / "c.spec")
+        assert not list(tmp_path.iterdir())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_spectrum(tmp_path / "nope.spec")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("half")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
 
 
 class TestCalibrationSetFile:

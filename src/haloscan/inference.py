@@ -3,8 +3,15 @@
 Every bin carries a likelihood ratio u = exp(mu * x - mu^2 / 2) with
 mu = g^2 * eta_sens, rescans multiply in, and the aggregate is the plain
 mean over scanned bins, which is what absorbs the look-elsewhere effect.
-All products and means run in log space; only final scalars are
-exponentiated.
+
+Since mu is linear in g^2, the combined update of a bin is a quadratic in
+g^2: ln U = a * g^2 - b * g^4 with a = sum(eta_sens * x) and
+b = sum(eta_sens^2) / 2, summed over the initial scan and the aligned
+rescans (the Gaussian prior update of Palken et al., "Improved analysis
+framework for axion dark matter searches", PRD 101, 123011 (2020)).  Each
+public call builds (a, b) once in one alignment pass; every coupling is
+then a vectorised log-mean-exp over bins or windows, each shifted by its
+largest ln U.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .artifacts import atomic_open, write_json
 from .errors import ConfigError, DataError
@@ -38,33 +44,27 @@ def prior_update(x, mu_a):
     return np.exp(log_prior_update(x, mu_a))
 
 
-def combine_updates(initial, rescans=()):
-    """Elementwise product of aligned update arrays.
-
-    Rescan arrays must be full length with 1.0 at bins they did not
-    cover, so uncovered bins keep the initial update.
-    """
-    out = np.array(initial, dtype=float, copy=True)
-    for rescan in rescans:
-        rescan = np.asarray(rescan, dtype=float)
-        if rescan.shape != out.shape:
-            raise DataError("rescan update array not aligned with initial scan")
-        out *= rescan
-    return out
-
-
-def aggregate(updates):
-    """Mean update over bins, via log-sum-exp for dynamic range."""
-    updates = np.asarray(updates, dtype=float)
-    if updates.size == 0:
-        raise DataError("cannot aggregate an empty bin set")
-    with np.errstate(divide="ignore"):
-        return float(np.exp(logsumexp(np.log(updates)) - math.log(updates.size)))
-
-
 def default_g_grid():
     lo, hi, n = DEFAULT_G_GRID
     return np.geomspace(lo, hi, n)
+
+
+def _coupling_grid(g_grid):
+    """The coupling grid as a float array: finite, positive, increasing."""
+    grid = default_g_grid() if g_grid is None else np.asarray(g_grid, dtype=float)
+    if not (
+        grid.ndim == 1
+        and grid.size > 0
+        and np.all(np.isfinite(grid))
+        and np.all(grid > 0)
+        and np.all(np.diff(grid) > 0)
+    ):
+        raise ConfigError("coupling grid must be finite, positive and strictly increasing")
+    return grid
+
+
+def _included(grand):
+    return grand.valid & (grand.eta_sens > 0)
 
 
 def _aligned_scans(initial, rescans):
@@ -81,51 +81,76 @@ def _aligned_scans(initial, rescans):
     return out
 
 
-def _log_updates_at(initial, aligned, g):
-    """Combined ln U per included bin of the initial grand at coupling g."""
-    mask = initial.valid & (initial.eta_sens > 0)
-    mu = g * g * initial.eta_sens[mask]
-    log_u = mu * initial.x[mask] - 0.5 * mu**2
+def _coefficients(initial, rescans):
+    """Per-included-bin (a, b) with ln U = a * g^2 - b * g^4.
+
+    a = sum(eta * x) and b = sum(eta^2) / 2 over the initial scan and every
+    aligned rescan bin that lands on an included initial bin; rescan bins
+    elsewhere carry no weight.  Also returns the included bin indices.
+    """
+    mask = _included(initial)
     index_of = np.flatnonzero(mask)
+    if index_of.size == 0:
+        raise DataError("grand spectrum has no included bins")
+    eta = initial.eta_sens[mask]
+    a = eta * initial.x[mask]
+    b = 0.5 * eta**2
     position = np.full(initial.x.size, -1, dtype=np.int64)
     position[index_of] = np.arange(index_of.size)
-    for off, grand in aligned:
-        sub = grand.valid & (grand.eta_sens > 0)
-        idx = np.flatnonzero(sub) + off
+    for off, grand in _aligned_scans(initial, rescans):
+        sub = np.flatnonzero(_included(grand))
+        idx = sub + off
         inside = (idx >= 0) & (idx < position.size)
-        idx = idx[inside]
-        rows = position[idx]
+        rows = position[idx[inside]]
         hit = rows >= 0
-        mu_r = g * g * grand.eta_sens[sub][inside][hit]
-        log_u[rows[hit]] += mu_r * grand.x[sub][inside][hit] - 0.5 * mu_r**2
-        # rescan bins outside the included initial set carry no weight
-    return log_u, index_of
+        src = sub[inside][hit]
+        eta_r = grand.eta_sens[src]
+        a[rows[hit]] += eta_r * grand.x[src]
+        b[rows[hit]] += 0.5 * eta_r**2
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if np.any(bad):
+        first = initial.frequencies[index_of[np.argmax(bad)]]
+        raise DataError(
+            f"non-finite x or eta_sens in {int(bad.sum())} included bins "
+            f"(first at {first:.1f} Hz)"
+        )
+    return a, b, index_of
+
+
+def _log_means(a, b, grid, starts, sizes):
+    """ln of the mean update over groups of bins, for every coupling.
+
+    Group k is the run of bins starting at starts[k] with sizes[k] bins;
+    returns a (groups, couplings) array.  Works one coupling at a time: a
+    couplings x bins matrix would cost tens of MB on a full campaign.
+    """
+    out = np.empty((starts.size, len(grid)))
+    for j, g in enumerate(grid):
+        G = g * g
+        log_u = G * a - G * G * b
+        # each group's largest term becomes exactly 1, so its sum cannot
+        # overflow or underflow to zero
+        peak = np.maximum.reduceat(log_u, starts)
+        shifted = np.exp(log_u - np.repeat(peak, sizes))
+        out[:, j] = peak + np.log(np.add.reduceat(shifted, starts) / sizes)
+    return out
+
+
+def _aggregate(a, b, grid):
+    """Aggregate U(g) over all included bins, one value per coupling."""
+    return np.exp(_log_means(a, b, grid, np.zeros(1, dtype=np.intp), np.array([a.size]))[0])
 
 
 def aggregate_update(initial, rescans=(), *, g=1.0):
     """Scalar aggregate U(g) for one coupling."""
-    aligned = _aligned_scans(initial, rescans)
-    log_u, _ = _log_updates_at(initial, aligned, g)
-    if log_u.size == 0:
-        raise DataError("grand spectrum has no included bins")
-    return float(np.exp(logsumexp(log_u) - math.log(log_u.size)))
+    a, b, _ = _coefficients(initial, rescans)
+    return float(_aggregate(a, b, [g])[0])
 
 
 def exclusion_curve(initial, rescans=(), g_grid=None):
-    grid = default_g_grid() if g_grid is None else np.asarray(g_grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ConfigError("coupling grid must be positive and increasing")
-    aligned = _aligned_scans(initial, rescans)
-    n = None
-    curve = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        log_u, _ = _log_updates_at(initial, aligned, g)
-        if n is None:
-            n = log_u.size
-            if n == 0:
-                raise DataError("grand spectrum has no included bins")
-        curve[i] = np.exp(logsumexp(log_u) - math.log(n))
-    return grid, curve
+    grid = _coupling_grid(g_grid)
+    a, b, _ = _coefficients(initial, rescans)
+    return grid, _aggregate(a, b, grid)
 
 
 def _bracketed_root(evaluate, g_lo, g_hi, u_lo, u_hi, target, xtol):
@@ -151,7 +176,7 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     """
     if not 0.0 < target < 1.0:
         raise ConfigError(f"target must be in (0, 1), got {target!r}")
-    grid, curve = exclusion_curve(initial, rescans, g_grid)
+    grid, curve = exclusion_curve(initial, rescans, _coupling_grid(g_grid))
     crossing = None
     for i in range(grid.size - 1):
         lo, hi = curve[i] - target, curve[i + 1] - target
@@ -162,14 +187,9 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     if crossing is None:
         return None, grid, curve
 
-    aligned = _aligned_scans(initial, rescans)
-
-    def evaluate(g):
-        log_u, _ = _log_updates_at(initial, aligned, g)
-        return float(np.exp(logsumexp(log_u) - math.log(log_u.size)))
-
+    a, b, _ = _coefficients(initial, rescans)
     g_star = _bracketed_root(
-        evaluate,
+        lambda g: float(_aggregate(a, b, [g])[0]),
         grid[crossing],
         grid[crossing + 1],
         curve[crossing],
@@ -180,7 +200,7 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     return g_star, grid, curve
 
 
-def _window_slices(n_included, n_windows):
+def _window_sizes(n_included, n_windows):
     if n_windows < 1:
         raise ConfigError("n_windows must be >= 1")
     if n_windows > n_included:
@@ -188,13 +208,7 @@ def _window_slices(n_included, n_windows):
             f"n_windows = {n_windows} exceeds the {n_included} included bins"
         )
     base, extra = divmod(n_included, n_windows)
-    slices = []
-    start = 0
-    for i in range(n_windows):
-        size = base + (1 if i < extra else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
+    return base + (np.arange(n_windows) < extra)
 
 
 def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, target=DEFAULT_TARGET):
@@ -206,32 +220,30 @@ def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, tar
     n_windows x len(g_grid) and contour holds the g at which each window
     crosses the target (NaN where it never does).
     """
-    grid = default_g_grid() if g_grid is None else np.asarray(g_grid, dtype=float)
-    aligned = _aligned_scans(initial, rescans)
-    log_u0, index_of = _log_updates_at(initial, aligned, grid[0])
-    slices = _window_slices(index_of.size, n_windows)
+    grid = _coupling_grid(g_grid)
+    a, b, index_of = _coefficients(initial, rescans)
+    sizes = _window_sizes(index_of.size, n_windows)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     freqs = initial.frequencies
-    lo = np.array([freqs[index_of[s][0]] for s in slices])
-    hi = np.array([freqs[index_of[s][-1]] for s in slices])
+    lo = freqs[index_of[starts]]
+    hi = freqs[index_of[ends - 1]]
 
-    surface = np.empty((n_windows, grid.size))
-    for j, g in enumerate(grid):
-        log_u, _ = _log_updates_at(initial, aligned, g)
-        for i, s in enumerate(slices):
-            chunk = log_u[s]
-            surface[i, j] = np.exp(logsumexp(chunk) - math.log(chunk.size))
+    surface = np.exp(_log_means(a, b, grid, starts, sizes))
 
+    # a window's contour is its last grid cell that starts on or crosses the target
+    d = surface - target
+    d_lo, d_hi = d[:, :-1], d[:, 1:]
+    hits = (d_lo == 0.0) | ((d_lo > 0) != (d_hi > 0))
     contour = np.full(n_windows, np.nan)
-    for i in range(n_windows):
-        row = surface[i]
-        for j in range(grid.size - 1):
-            a, b = row[j] - target, row[j + 1] - target
-            if a == 0.0:
-                contour[i] = grid[j]
-            elif (a > 0) != (b > 0):
-                # log-linear interpolation within the grid cell
-                frac = a / (a - b)
-                contour[i] = grid[j] * (grid[j + 1] / grid[j]) ** frac
+    for i in np.flatnonzero(hits.any(axis=1)):
+        j = hits.shape[1] - 1 - int(np.argmax(hits[i, ::-1]))
+        if d_lo[i, j] == 0.0:
+            contour[i] = grid[j]
+        else:
+            # log-linear interpolation within the grid cell
+            frac = d_lo[i, j] / (d_lo[i, j] - d_hi[i, j])
+            contour[i] = grid[j] * (grid[j + 1] / grid[j]) ** frac
     return lo, hi, surface, contour
 
 
@@ -277,17 +289,16 @@ def run_exclusion(
     g_star, grid, curve = exclusion_coupling(
         initial, rescans, target=target, g_grid=g_grid, xtol=xtol
     )
-    aligned = _aligned_scans(initial, rescans)
-    log_u, index_of = _log_updates_at(initial, aligned, grid[0])
+    n_bins = int(np.count_nonzero(_included(initial)))
     lo, hi, surface, contour = subaggregate_windows(
-        initial, rescans, n_windows=min(n_windows, index_of.size), g_grid=grid, target=target
+        initial, rescans, n_windows=min(n_windows, n_bins), g_grid=grid, target=target
     )
     return ExclusionResult(
         g_grid=grid,
         aggregate_u=curve,
         g_star=g_star,
         target=target,
-        n_bins=index_of.size,
+        n_bins=n_bins,
         window_lo=lo,
         window_hi=hi,
         window_surface=surface,

@@ -3,16 +3,21 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from haloscan.cli import main
 from haloscan.config import default_config, load_config
 from haloscan.errors import ConfigError, NumericError
-from haloscan.pipeline import read_grand_spectrum
+from haloscan.pipeline import read_grand_spectrum, write_grand_spectrum
 from haloscan.receiver import thermal_quanta
 from haloscan.spectra import read_spectrum
 
@@ -526,6 +531,22 @@ class TestFailureModes:
         assert payload["error"] == "DataError"
         assert "simulate" in payload["message"]
 
+    def test_non_finite_grand_spectrum_exits_4(self, cli_run, tmp_path, capsys):
+        ini, out_all = cli_run
+        out = tmp_path / "nan"
+        shutil.copytree(out_all, out)
+        grand = read_grand_spectrum(out / "grand_spectrum.dat")
+        cfg = load_config(ini)
+        freqs = grand.frequencies
+        inband = (freqs >= cfg.get("campaign", "lo_hz")) & (freqs <= cfg.get("campaign", "hi_hz"))
+        grand.x[np.flatnonzero(grand.valid & inband)[0]] = math.nan
+        write_grand_spectrum(grand, out / "grand_spectrum.dat")
+        assert run_cli("exclude", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert payload["exit_code"] == 4
+        assert "non-finite" in payload["message"]
+
     def test_output_path_collision_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
         blocker = tmp_path / "file_not_dir"
@@ -563,3 +584,16 @@ class TestLogging:
             root.setLevel(saved_level)
         assert "INFO haloscan" in err
         assert "stage budget" in err
+
+
+def test_python_m_haloscan_help():
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "haloscan", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exclude" in proc.stdout

@@ -6,12 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from haloscan.errors import ConfigError, DataError
 from haloscan.inference import (
-    aggregate,
     aggregate_update,
-    combine_updates,
     default_g_grid,
     exclusion_coupling,
     exclusion_curve,
@@ -47,6 +46,30 @@ def make_grand(n=1000, rf_start=4.1e9, **overrides):
 def closed_form_g_star(eta, target):
     # exp(-(g^2 eta)^2 / 2) = target inverted for g
     return (2.0 * math.log(1.0 / target)) ** 0.25 / math.sqrt(eta)
+
+
+def combine_updates(initial, rescans=()):
+    """Elementwise product of aligned update arrays.
+
+    Rescan arrays must be full length with 1.0 at bins they did not
+    cover, so uncovered bins keep the initial update.
+    """
+    out = np.array(initial, dtype=float, copy=True)
+    for rescan in rescans:
+        rescan = np.asarray(rescan, dtype=float)
+        if rescan.shape != out.shape:
+            raise DataError("rescan update array not aligned with initial scan")
+        out *= rescan
+    return out
+
+
+def aggregate(updates):
+    """Mean update over bins, via log-sum-exp for dynamic range."""
+    updates = np.asarray(updates, dtype=float)
+    if updates.size == 0:
+        raise DataError("cannot aggregate an empty bin set")
+    with np.errstate(divide="ignore"):
+        return float(np.exp(logsumexp(np.log(updates)) - math.log(updates.size)))
 
 
 class TestPriorUpdate:
@@ -164,6 +187,71 @@ class TestExclusionCurve:
         grand = make_grand(n=40, valid=np.zeros(40, dtype=bool))
         with pytest.raises(DataError):
             exclusion_curve(grand)
+
+
+BAD_GRIDS = [
+    [0.5, math.nan, 2.0],
+    [0.5, 2.0, math.inf],
+    [math.nan],
+    [-math.inf, 1.0],
+    [],
+    [[1.0, 2.0]],
+    [1.0, 1.0, 2.0],
+]
+
+
+class TestCouplingGridChecks:
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_curve_rejects(self, grid):
+        with pytest.raises(ConfigError):
+            exclusion_curve(make_grand(n=50), g_grid=grid)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_coupling_rejects(self, grid):
+        with pytest.raises(ConfigError):
+            exclusion_coupling(make_grand(n=50), g_grid=grid)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_windows_reject(self, grid):
+        with pytest.raises(ConfigError):
+            subaggregate_windows(make_grand(n=50), n_windows=5, g_grid=grid)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "field,value", [("x", math.nan), ("x", -math.inf), ("eta_sens", math.inf)]
+    )
+    def test_initial_scan_refused(self, field, value):
+        grand = make_grand(x=np.random.default_rng(5).standard_normal(100))
+        getattr(grand, field)[37] = value
+        with pytest.raises(DataError, match="non-finite"):
+            run_exclusion(grand, n_windows=10)
+
+    def test_rescan_refused(self):
+        rng = np.random.default_rng(6)
+        initial = make_grand(x=rng.standard_normal(100))
+        rescan = make_grand(x=rng.standard_normal(20), rf_start=initial.rf_start_hz + 40 * DB)
+        rescan.x[3] = math.nan
+        with pytest.raises(DataError, match="non-finite"):
+            exclusion_curve(initial, [rescan])
+        with pytest.raises(DataError, match="non-finite"):
+            subaggregate_windows(initial, [rescan], n_windows=10)
+
+    def test_excluded_bins_may_hold_nan(self):
+        rng = np.random.default_rng(7)
+        clean = make_grand(x=rng.standard_normal(100))
+        dirty = make_grand(x=clean.x.copy())
+        dirty.x[10] = math.nan
+        dirty.valid[10] = False
+        dirty.x[20] = math.nan
+        dirty.eta_sens[20] = 0.0
+        clean.valid[10] = False
+        clean.eta_sens[20] = 0.0
+        # a rescan bin that lands outside the initial grid carries no weight
+        rescan = make_grand(x=np.full(10, math.nan), rf_start=clean.rf_start_hz + 100 * DB)
+        _, curve_clean = exclusion_curve(clean)
+        _, curve_dirty = exclusion_curve(dirty, [rescan])
+        np.testing.assert_array_equal(curve_dirty, curve_clean)
 
 
 class TestExclusionCoupling:
@@ -326,6 +414,110 @@ class TestWindows:
             subaggregate_windows(grand, n_windows=0)
         with pytest.raises(ConfigError):
             subaggregate_windows(grand, n_windows=21)
+
+
+def oracle_log_updates(initial, rescans, g):
+    """ln U per included initial bin at coupling g, recomputed bin by bin."""
+    mask = initial.valid & (initial.eta_sens > 0)
+    mu = g * g * initial.eta_sens[mask]
+    log_u = mu * initial.x[mask] - 0.5 * mu**2
+    index_of = np.flatnonzero(mask)
+    position = np.full(initial.x.size, -1, dtype=np.int64)
+    position[index_of] = np.arange(index_of.size)
+    for grand in rescans:
+        off = int(round((grand.rf_start_hz - initial.rf_start_hz) / grand.bin_width_hz))
+        for k in range(grand.x.size):
+            i = k + off
+            if not (grand.valid[k] and grand.eta_sens[k] > 0 and 0 <= i < position.size):
+                continue
+            if position[i] >= 0:
+                mu_r = g * g * grand.eta_sens[k]
+                log_u[position[i]] += mu_r * grand.x[k] - 0.5 * mu_r**2
+    return log_u
+
+
+def oracle_mean(log_u):
+    return float(np.exp(logsumexp(log_u) - math.log(log_u.size)))
+
+
+class TestBruteForceOracle:
+    """The per-bin quadratic against a per-coupling recomputation."""
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        rng = np.random.default_rng(2020)
+        n = 2000
+        initial = make_grand(
+            x=rng.standard_normal(n), eta_sens=rng.uniform(0.3, 1.0, n)
+        )
+        initial.x[700:710] += 3.0  # a hot patch, so windows differ
+        initial.valid[rng.random(n) < 0.1] = False
+        initial.eta_sens[rng.random(n) < 0.02] = 0.0
+        inner = make_grand(
+            x=rng.standard_normal(500),
+            eta_sens=rng.uniform(0.3, 1.0, 500),
+            rf_start=initial.rf_start_hz + 650 * DB,
+        )
+        inner.valid[:120] = False
+        # the second rescan runs past the top edge of the initial grid
+        edge = make_grand(
+            x=rng.standard_normal(400),
+            eta_sens=rng.uniform(0.3, 1.0, 400),
+            rf_start=initial.rf_start_hz + 1800 * DB,
+        )
+        edge.valid[rng.random(400) < 0.3] = False
+        return initial, [inner, edge]
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_curve_and_surface_agree(self, scans, extreme):
+        initial, rescans = scans
+        if extreme:
+            # a very hot patch and a high-sensitivity stretch: at large g some
+            # window means sit more than 745 e-folds below the hottest bin
+            x, eta = initial.x.copy(), initial.eta_sens.copy()
+            x[700:703] = 30.0
+            eta[1000:1400] = 1.4
+            initial = dataclasses.replace(initial, x=x, eta_sens=eta)
+        grid = np.geomspace(0.5, 5.0, 60)
+        n_windows = 17
+        _, curve = exclusion_curve(initial, rescans, g_grid=grid)
+        _, _, surface, _ = subaggregate_windows(
+            initial, rescans, n_windows=n_windows, g_grid=grid
+        )
+        n_included = oracle_log_updates(initial, rescans, 1.0).size
+        bounds = np.cumsum([0] + [
+            n_included // n_windows + (1 if i < n_included % n_windows else 0)
+            for i in range(n_windows)
+        ])
+        want_curve = np.empty(grid.size)
+        want_surface = np.empty((n_windows, grid.size))
+        for j, g in enumerate(grid):
+            log_u = oracle_log_updates(initial, rescans, g)
+            want_curve[j] = oracle_mean(log_u)
+            for i in range(n_windows):
+                want_surface[i, j] = oracle_mean(log_u[bounds[i]:bounds[i + 1]])
+        np.testing.assert_allclose(curve, want_curve, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(surface, want_surface, rtol=1e-11, atol=0)
+
+    def test_g_star_equal(self, scans):
+        initial, rescans = scans
+        grid = np.geomspace(0.5, 5.0, 60)
+        g_star, _, curve = exclusion_coupling(
+            initial, rescans, g_grid=grid, target=0.1, xtol=1e-6
+        )
+        want = np.array([oracle_mean(oracle_log_updates(initial, rescans, g)) for g in grid])
+        above = want > 0.1
+        j = int(np.flatnonzero(above[:-1] != above[1:])[-1])
+        g_lo, g_hi = grid[j], grid[j + 1]
+        f_lo = want[j] - 0.1
+        while g_hi - g_lo > 1e-6:
+            mid = 0.5 * (g_lo + g_hi)
+            f_mid = oracle_mean(oracle_log_updates(initial, rescans, mid)) - 0.1
+            if (f_lo > 0) == (f_mid > 0):
+                g_lo, f_lo = mid, f_mid
+            else:
+                g_hi = mid
+        assert g_star == 0.5 * (g_lo + g_hi)
 
 
 @pytest.fixture(scope="module")

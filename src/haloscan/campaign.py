@@ -455,6 +455,15 @@ def simulate_calibration(
     )
 
 
+def _map_ordered(fn, items, threads):
+    """[fn(item) for item in items], on a pool of ``threads`` workers
+    when threads > 1; the result order is that of ``items`` either way."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def simulate_campaign(
     plan,
     receiver,
@@ -524,11 +533,7 @@ def simulate_campaign(
             )
         return spectrum, calset
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_step, plan.steps))
-    else:
-        results = [one_step(step) for step in plan.steps]
+    results = _map_ordered(one_step, plan.steps, threads)
     spectra = [spectrum for spectrum, _ in results]
     calsets = [calset for _, calset in results if calset is not None]
     return spectra, calsets
@@ -590,8 +595,4 @@ def simulate_rescans(
         spectrum.metadata["t_acq_s"] = (plan.n_steps + order) * tau_s
         return spectrum
 
-    items = list(enumerate(steps))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_step, items))
-    return [one_step(item) for item in items]
+    return _map_ordered(one_step, list(enumerate(steps)), threads)

@@ -4,6 +4,14 @@ Stages: metadata cuts, two-stage Savitzky-Golay structure removal,
 maximum-likelihood combination onto the RF grid, lineshape-matched
 coadding, rescan flagging.
 
+Both Savitzky-Golay stages use one cached kernel per (window, order).
+Stage 1 smooths the campaign average with polynomial-fitted edges
+(scipy's mode='interp'), because its edge values feed the interior
+windows of stage 2.  Stage 2 is a linear FFT convolution evaluated on
+the interior only: bins within half the wider window of either edge
+are invalid anyway, so their excess is set to exactly 0 and no edge
+fit is made.
+
 The statistics here are deliberate.  Dividing out a fitted baseline
 correlates neighboring bins (the smoother's kernel h obeys
 (h*h)(0) = h(0), so each stage removes a little variance and spreads
@@ -19,12 +27,11 @@ relevant lags and is dropped.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_coeffs, savgol_filter
 
 from .artifacts import read_array_file, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
@@ -246,6 +253,71 @@ def apply_cuts(spectra, criteria):
     return kept, CutLog(kept_ids=tuple(s.step_id for s in kept), cut=cut)
 
 
+@functools.lru_cache(maxsize=None)
+def _savgol_kernel(window, order):
+    """Savitzky-Golay smoothing kernel, read-only.
+
+    The least-squares value at the window centre of a degree-``order``
+    polynomial, solved on the Vandermonde matrix as
+    ``scipy.signal.savgol_coeffs`` does (same coefficients bit for bit).
+    """
+    half = window // 2
+    t = np.arange(half, -half - 1, -1, dtype=float)
+    vander = t ** np.arange(order + 1, dtype=float)[:, None]
+    unit = np.zeros(order + 1)
+    unit[0] = 1.0
+    kernel = np.linalg.lstsq(vander, unit, rcond=np.finfo(float).eps * window)[0]
+    kernel.flags.writeable = False
+    return kernel
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_spectrum(window, order, n_bins):
+    """(n_fft, rfft of the kernel), n_fft the smallest power of two
+    >= n_bins + window - 1, so the FFT product is a linear convolution."""
+    n_fft = 1 << (n_bins + window - 2).bit_length()
+    spectrum = np.fft.rfft(_savgol_kernel(window, order), n_fft)
+    spectrum.flags.writeable = False
+    return n_fft, spectrum
+
+
+def _savgol_interp(x, window, order):
+    """Stage-1 baseline: ``savgol_filter(x, window, order, mode='interp')``.
+
+    Kernel in the interior; within half a window of each end, the
+    polynomial fitted to the first or last ``window`` samples.
+    """
+    y = np.convolve(x, _savgol_kernel(window, order), mode="same")
+    half = window // 2
+    t = np.arange(window, dtype=float)
+    y[:half] = np.polyval(np.polyfit(t, x[:window], order), t[:half])
+    y[-half:] = np.polyval(np.polyfit(t, x[-window:], order), t[-half:])
+    return y
+
+
+def _detrend_interior(r, window, order, trim):
+    """Stage 2: r over its own Savitzky-Golay baseline, minus 1.
+
+    Evaluated on bins trim .. n - trim - 1 only (trim >= window // 2, so
+    each of their windows lies inside the band); the trim bins at either
+    end are exactly 0.
+    """
+    n = r.size
+    n_fft, spectrum = _kernel_spectrum(window, order, n)
+    baseline = np.fft.irfft(np.fft.rfft(r, n_fft) * spectrum, n_fft)
+    shift = window // 2  # full-convolution index of output bin 0
+    excess = np.zeros(n)
+    excess[trim : n - trim] = (
+        r[trim : n - trim] / baseline[shift + trim : shift + n - trim] - 1.0
+    )
+    return excess
+
+
+def _edge_trim(settings):
+    """Bins at each band edge left invalid by the wider filter window."""
+    return max(settings.if_window_bins, settings.rf_window_bins) // 2
+
+
 def _delta_minus(kernel):
     out = -np.asarray(kernel, dtype=float)
     out[len(out) // 2] += 1.0
@@ -274,22 +346,22 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
     A small axion-shaped bump rides one flat spectrum of n_spectra; the
     stage-1 average therefore sees it diluted by 1/n_spectra, exactly as
     in campaign processing.  Transfer is the matched projection of the
-    processed excess onto the injected shape.  The same path measures the
+    processed excess onto the injected shape, summed over the valid
+    interior (the processed edges are 0).  The same path measures the
     survival of 100 kHz-wide structure, which must be strongly suppressed.
     """
     if settings.rf_window_bins >= n_bins or settings.if_window_bins >= n_bins:
         raise ConfigError("filter window exceeds the analysis band")
     m = n_spectra
     weights = canonical_kernel(nu_ref_hz, lineshape)
+    trim = _edge_trim(settings)
 
     def run(shape):
         amp = 1e-3
         bumped = 1.0 + amp * shape
         avg = 1.0 + amp * shape / m
-        b1 = savgol_filter(avg, settings.if_window_bins, settings.if_order)
-        r = bumped / b1
-        b2 = savgol_filter(r, settings.rf_window_bins, settings.rf_order)
-        out = r / b2 - 1.0
+        b1 = _savgol_interp(avg, settings.if_window_bins, settings.if_order)
+        out = _detrend_interior(bumped / b1, settings.rf_window_bins, settings.rf_order, trim)
         return float(np.dot(out, amp * shape) / np.dot(amp * shape, amp * shape))
 
     signal_shape = np.zeros(n_bins)
@@ -303,8 +375,8 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
 
     t_signal = run(signal_shape)
     wide = run(wide_shape)
-    h1 = savgol_coeffs(settings.if_window_bins, settings.if_order)
-    h2 = savgol_coeffs(settings.rf_window_bins, settings.rf_order)
+    h1 = _savgol_kernel(settings.if_window_bins, settings.if_order)
+    h2 = _savgol_kernel(settings.rf_window_bins, settings.rf_order)
     gamma = _lag_autocovariance(h1, h2, m)
     return FilterReport(
         if_window_bins=settings.if_window_bins,
@@ -324,9 +396,13 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
 
     Stage 1 fits the shared IF shape on the average of the mean-normalized
     spectra and divides it out of each one; stage 2 fits and divides each
-    spectrum's own residual baseline.  Edge bins inside half a filter
-    window are marked invalid rather than edge-corrected, trading ~1% of
-    band for exact interior statistics.
+    spectrum's own residual baseline, one FFT convolution per spectrum on
+    the interior.  Edge bins inside half the wider filter window are
+    marked invalid, with excess exactly 0, rather than edge-corrected,
+    trading ~1% of band for exact interior statistics.
+
+    The reduction is single-threaded; ``threads`` is accepted for call
+    compatibility and the output does not depend on it.
     """
     if not spectra:
         raise DataError("no spectra to process; empty campaign")
@@ -341,7 +417,7 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
     m = len(spectra)
     normalized = [s.psd / s.psd.mean() for s in spectra]
     avg = np.mean(normalized, axis=0)
-    b1 = savgol_filter(avg, settings.if_window_bins, settings.if_order)
+    b1 = _savgol_interp(avg, settings.if_window_bins, settings.if_order)
 
     centers = [
         float(s.metadata.get("nu_c_hz") or (s.nu_start_hz + 0.5 * n_bins * db))
@@ -351,7 +427,7 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
         settings, lineshape, m, n_bins, nu_ref_hz=float(np.median(centers))
     )
     gamma0 = float(report.gamma[0])
-    trim = max(settings.if_window_bins, settings.rf_window_bins) // 2
+    trim = _edge_trim(settings)
     valid_template = np.zeros(n_bins, dtype=bool)
     valid_template[trim : n_bins - trim] = True
     provenance = {
@@ -361,27 +437,21 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
         "rf_order": settings.rf_order,
     }
 
-    def one(index):
-        r = normalized[index] / b1
-        b2 = savgol_filter(r, settings.rf_window_bins, settings.rf_order)
-        excess = r / b2 - 1.0
-        s = spectra[index]
-        return ProcessedSpectrum(
+    processed = [
+        ProcessedSpectrum(
             step_id=s.step_id,
             nu_start_hz=s.nu_start_hz,
             bin_width_hz=db,
-            excess=excess,
+            excess=_detrend_interior(
+                row / b1, settings.rf_window_bins, settings.rf_order, trim
+            ),
             sigma=math.sqrt(gamma0 / s.n_averages),
             valid=valid_template.copy(),
             n_averages=s.n_averages,
             metadata=dict(provenance, **{"nu_c_hz": s.metadata.get("nu_c_hz")}),
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            processed = list(pool.map(one, range(m)))
-    else:
-        processed = [one(i) for i in range(m)]
+        for s, row in zip(spectra, normalized)
+    ]
     return processed, report
 
 
@@ -575,7 +645,11 @@ def check_persistence(candidates, rescan_grand, threshold_sigma, merge_width_bin
 
 
 def process_group(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
-    """Structure removal, combination and coadd for one group of spectra."""
+    """Structure removal, combination and coadd for one group of spectra.
+
+    Single-threaded; ``threads`` is passed on to ``remove_structure``,
+    which ignores it, so the output does not depend on it.
+    """
     processed, report = remove_structure(spectra, settings, lineshape, threads=threads)
     combined = combine_spectra(
         processed, cal_results, geometry, lineshape, tau_s=tau_s, snr_ref=snr_ref
@@ -595,6 +669,10 @@ class ProcessOutput:
 
 
 def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
+    """Cuts, then ``process_group`` on the kept spectra, then rescan flags.
+
+    Single-threaded; the output does not depend on ``threads``.
+    """
     kept, cut_log = apply_cuts(spectra, settings.cuts)
     if not kept:
         raise DataError("all spectra were cut; empty campaign")

@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import savgol_coeffs, savgol_filter
 
 from haloscan import (
     AxionHypothesis,
@@ -34,7 +38,7 @@ from haloscan import (
     simulate_campaign,
     write_grand_spectrum,
 )
-from haloscan.pipeline import _signal_coefficient
+from haloscan.pipeline import _savgol_interp, _savgol_kernel, _signal_coefficient
 from conftest import REF_NU, join_array_file, make_receiver, split_array_file
 
 # RF window sized for the 4000-bin test bands (defaults assume 30000)
@@ -196,6 +200,112 @@ class TestRemoveStructure:
         b = dataclasses.replace(make_raw(1, n=1000), bin_width_hz=50.0)
         with pytest.raises(DataError):
             remove_structure([a, b], SMALL_BAND, LineshapeParams())
+
+
+# -- scipy.signal as an independent oracle for the numpy filter path --------
+
+SAVGOL_SHAPES = [(101, 4), (301, 4), (1001, 2), (5, 2), (3, 0)]
+
+
+def scipy_remove_structure(spectra, settings):
+    """Per-row two-savgol_filter reduction the FFT path must reproduce."""
+    normalized = [s.psd / s.psd.mean() for s in spectra]
+    b1 = savgol_filter(np.mean(normalized, axis=0), settings.if_window_bins, settings.if_order)
+    out = []
+    for row in normalized:
+        r = row / b1
+        out.append(r / savgol_filter(r, settings.rf_window_bins, settings.rf_order) - 1.0)
+    return out
+
+
+def scipy_transfer(settings, lineshape, n_spectra, n_bins):
+    """(t_signal, wide_suppression) of the full-array savgol_filter chain."""
+    weights = canonical_kernel(REF_NU, lineshape)
+    signal = np.zeros(n_bins)
+    signal[n_bins // 2 : n_bins // 2 + weights.size] = weights / weights.max()
+    sigma_bins = int(round(100e3 / lineshape.bin_width_hz)) / 2.3548
+    wide = np.exp(-0.5 * ((np.arange(n_bins) - n_bins / 2) / sigma_bins) ** 2)
+    out = []
+    for shape in (signal, wide):
+        amp = 1e-3 * shape
+        b1 = savgol_filter(1.0 + amp / n_spectra, settings.if_window_bins, settings.if_order)
+        r = (1.0 + amp) / b1
+        excess = r / savgol_filter(r, settings.rf_window_bins, settings.rf_order) - 1.0
+        out.append(float(np.dot(excess, amp) / np.dot(amp, amp)))
+    return out
+
+
+class TestSavgolOracle:
+    @pytest.mark.parametrize("window, order", SAVGOL_SHAPES)
+    def test_kernel_equals_savgol_coeffs(self, window, order):
+        np.testing.assert_array_equal(
+            _savgol_kernel(window, order), savgol_coeffs(window, order)
+        )
+
+    def test_kernel_is_cached_and_read_only(self):
+        assert _savgol_kernel(101, 4) is _savgol_kernel(101, 4)
+        with pytest.raises(ValueError):
+            _savgol_kernel(101, 4)[0] = 0.0
+
+    @pytest.mark.parametrize("window, order", SAVGOL_SHAPES)
+    def test_stage1_equals_interp_filter(self, window, order):
+        rng = np.random.default_rng(5)
+        grid = np.arange(4000)
+        x = 1.0 + 0.3 * np.sin(grid / 400.0) + 1e-3 * rng.standard_normal(grid.size)
+        np.testing.assert_allclose(
+            _savgol_interp(x, window, order),
+            savgol_filter(x, window, order, mode="interp"),
+            rtol=1e-13, atol=0,
+        )
+
+    @pytest.mark.parametrize("settings, n_bins", [
+        (SMALL_BAND, 4000),
+        (ProcessSettings(), 3000),  # 1,001-bin stage-2 window
+    ])
+    def test_remove_structure_matches_scipy_on_valid_bins(
+        self, small_plan, wavy_baseline, settings, n_bins
+    ):
+        spectra, _ = simulate_campaign(
+            small_plan, make_receiver(), wavy_baseline,
+            tau_s=3600.0, n_bins=n_bins, cal_every=100,
+        )
+        processed, _ = remove_structure(spectra, settings, LineshapeParams())
+        trim = max(settings.if_window_bins, settings.rf_window_bins) // 2
+        for p, expected in zip(processed, scipy_remove_structure(spectra, settings)):
+            assert p.valid[trim:-trim].all()
+            np.testing.assert_allclose(
+                p.excess[p.valid], expected[p.valid], rtol=0, atol=1e-12
+            )
+            assert not p.valid[:trim].any() and not p.valid[-trim:].any()
+            assert np.all(p.excess[:trim] == 0.0)
+            assert np.all(p.excess[-trim:] == 0.0)
+
+    @pytest.mark.parametrize("settings, n_spectra, n_bins", [
+        (ProcessSettings(), 50, 30000),
+        (SMALL_BAND, 9, 4000),
+    ])
+    def test_filter_transfer_matches_scipy(self, default_lineshape, settings, n_spectra, n_bins):
+        report = measure_filter_transfer(
+            settings, default_lineshape, n_spectra, n_bins, nu_ref_hz=REF_NU
+        )
+        t_signal, wide = scipy_transfer(settings, default_lineshape, n_spectra, n_bins)
+        assert report.t_signal == pytest.approx(t_signal, rel=1e-12, abs=0)
+        # wide_suppression is a ~1e-3 residual of unit-scale bins, so float64
+        # rounding alone (scipy's included) moves it by ~1e-13 absolute,
+        # ~3e-11 relative: compare on the scale of the unit transfer.
+        assert report.wide_suppression == pytest.approx(wide, rel=0, abs=1e-12)
+
+
+def test_import_skips_scipy_signal_and_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["haloscan"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, haloscan; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def make_processed(step_id, nu_start, excess, sigma, n_averages=360000, nu_c=None):

@@ -2,8 +2,8 @@
 
 Randomness policy: every stochastic quantity derives from the campaign
 master seed through a (stream, index, salt) spawn key, so any single
-spectrum can be regenerated in isolation and thread scheduling cannot
-change results.  Streams are module constants below.
+spectrum can be regenerated in isolation.  Streams are module constants
+below.
 
 Statistics are simulated at the level of the averaged periodogram: an
 averaged power spectrum with ``n_averages`` segments has relative
@@ -15,8 +15,8 @@ segment traces instead and exists to validate that shortcut.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +137,9 @@ class BaselineModel:
     One component is shared by every step (the analysis chain), a second
     smaller component varies step to step.  Both are sums of low-order
     cosines in normalized band position, so the product stays strictly
-    positive and well inside Savitzky-Golay reach.
+    positive and well inside Savitzky-Golay reach.  The shared component
+    is evaluated once per (model, n_bins) and cached read-only; only the
+    per-step component is drawn and evaluated on every call.
     """
 
     master_seed: int
@@ -148,10 +150,7 @@ class BaselineModel:
     step_excursion: float = 0.05
 
     def evaluate(self, step_id, n_bins):
-        t = np.linspace(0.0, 1.0, n_bins)
-        base = np.ones(n_bins)
-        for order, amp, phase in zip(self.shared_orders, self.shared_amps, self.shared_phases):
-            base += amp * np.cos(2.0 * np.pi * order * t + phase)
+        t, base = _shared_baseline(self, n_bins)
         rng = np.random.default_rng(
             derive_seed(self.master_seed, STREAM_BASELINE, 1 + step_id)
         )
@@ -166,6 +165,22 @@ class BaselineModel:
         return base * wiggle
 
 
+@functools.lru_cache(maxsize=4)
+def _shared_baseline(model, n_bins):
+    """(band position t, shared component) on an n_bins grid, read-only.
+
+    Seed- and step-independent, so one campaign or one ensemble of
+    campaigns under the same model evaluates it once.
+    """
+    t = np.linspace(0.0, 1.0, n_bins)
+    base = np.ones(n_bins)
+    for order, amp, phase in zip(model.shared_orders, model.shared_amps, model.shared_phases):
+        base += amp * np.cos(2.0 * np.pi * order * t + phase)
+    t.flags.writeable = False
+    base.flags.writeable = False
+    return t, base
+
+
 def make_baseline_model(
     master_seed,
     *,
@@ -174,8 +189,20 @@ def make_baseline_model(
     step_components_max=2,
     step_excursion=0.05,
 ):
-    if excursion < 0 or excursion >= 1:
+    if not 0 <= excursion < 1:
         raise ConfigError(f"baseline excursion must be in [0, 1), got {excursion!r}")
+    if not 0 <= step_excursion < 1:
+        raise ConfigError(
+            f"baseline step_excursion must be in [0, 1), got {step_excursion!r}"
+        )
+    if n_components[0] < 0:
+        raise ConfigError(
+            f"baseline n_components_lo must be >= 0, got {n_components[0]!r}"
+        )
+    if step_components_max < 1:
+        raise ConfigError(
+            f"baseline step_components_max must be >= 1, got {step_components_max!r}"
+        )
     rng = np.random.default_rng(derive_seed(master_seed, STREAM_BASELINE, 0))
     n = int(rng.integers(n_components[0], n_components[1] + 1))
     orders = tuple(range(1, n + 1))
@@ -455,15 +482,6 @@ def simulate_calibration(
     )
 
 
-def _map_ordered(fn, items, threads):
-    """[fn(item) for item in items], on a pool of ``threads`` workers
-    when threads > 1; the result order is that of ``items`` either way."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def simulate_campaign(
     plan,
     receiver,
@@ -484,8 +502,10 @@ def simulate_campaign(
     """Simulate every step of a plan; returns (spectra, calibration sets).
 
     Calibrations are taken every cal_every steps under nominal conditions
-    (anomalies perturb science spectra only).  Parallel across steps;
-    results are ordered and seeded by step_id, independent of scheduling.
+    (anomalies perturb science spectra only).  Steps run one after the
+    other in plan order, each seeded by its step_id.  ``threads`` is
+    accepted and ignored: the simulation is single-threaded and its output
+    does not depend on it.
     """
     if cal_every < 1:
         raise ConfigError(f"cal_every must be >= 1, got {cal_every!r}")
@@ -533,7 +553,7 @@ def simulate_campaign(
             )
         return spectrum, calset
 
-    results = _map_ordered(one_step, plan.steps, threads)
+    results = [one_step(step) for step in plan.steps]
     spectra = [spectrum for spectrum, _ in results]
     calsets = [calset for _, calset in results if calset is not None]
     return spectra, calsets
@@ -564,12 +584,12 @@ def simulate_rescans(
     """Re-acquire a subset of steps with fresh noise, no anomalies.
 
     Durations match the initial scan.  A persistent hypothesis appears in
-    both passes; a statistical excess does not.
+    both passes; a statistical excess does not.  ``threads`` is accepted
+    and ignored, as in ``simulate_campaign``.
     """
     ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=bin_width_hz)
 
-    def one_step(item):
-        order, step = item
+    def one_step(order, step):
         nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
         _, diag, _ = draw_step_effects(
             plan.master_seed, step.step_id, nominal, anomaly_rate=0.0, salt=1
@@ -595,4 +615,4 @@ def simulate_rescans(
         spectrum.metadata["t_acq_s"] = (plan.n_steps + order) * tau_s
         return spectrum
 
-    return _map_ordered(one_step, list(enumerate(steps)), threads)
+    return [one_step(order, step) for order, step in enumerate(steps)]

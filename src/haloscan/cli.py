@@ -448,7 +448,8 @@ def _add_common(parser):
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace campaign.master_seed for this run")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-step stages")
+                        help="accepted and ignored: every stage is single-threaded "
+                             "and its output does not depend on it")
 
 
 def build_parser():

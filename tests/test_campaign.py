@@ -1,6 +1,7 @@
 """Campaign generation: plans, seeding, spectrum statistics, anomalies."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from haloscan import (
     LineshapeParams,
     bin_signal,
     derive_seed,
+    make_baseline_model,
     make_tuning_plan,
     noise_budget,
     rescan_steps,
@@ -20,7 +22,12 @@ from haloscan import (
     simulate_spectrum,
     simulate_spectrum_literal,
 )
-from haloscan.campaign import band_start, draw_step_effects
+from haloscan.campaign import (
+    STREAM_BASELINE,
+    _shared_baseline,
+    band_start,
+    draw_step_effects,
+)
 from conftest import make_receiver
 
 
@@ -81,6 +88,69 @@ class TestSeedDerivation:
         a = [derive_seed(1, 0, i) for i in range(10)]
         b = [derive_seed(2, 0, i) for i in range(10)]
         assert not set(a) & set(b)
+
+
+def uncached_baseline(model, step_id, n_bins):
+    """BaselineModel.evaluate with the shared component rebuilt per call."""
+    t = np.linspace(0.0, 1.0, n_bins)
+    base = np.ones(n_bins)
+    for order, amp, phase in zip(model.shared_orders, model.shared_amps, model.shared_phases):
+        base += amp * np.cos(2.0 * np.pi * order * t + phase)
+    rng = np.random.default_rng(derive_seed(model.master_seed, STREAM_BASELINE, 1 + step_id))
+    n = int(rng.integers(1, model.step_components_max + 1))
+    orders = rng.integers(1, 7, size=n)
+    raw = rng.uniform(-1.0, 1.0, size=n)
+    amps = model.step_excursion * raw / np.sum(np.abs(raw))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    wiggle = np.ones(n_bins)
+    for order, amp, phase in zip(orders, amps, phases):
+        wiggle += amp * np.cos(2.0 * np.pi * order * t + phase)
+    return base * wiggle
+
+
+class TestBaselineModel:
+    @pytest.mark.parametrize("n_bins", [400, 4000, 30000])
+    def test_matches_uncached_evaluation(self, wavy_baseline, n_bins):
+        for step_id in (0, 1, 7, 49):
+            np.testing.assert_array_equal(
+                wavy_baseline.evaluate(step_id, n_bins),
+                uncached_baseline(wavy_baseline, step_id, n_bins),
+            )
+
+    def test_cached_arrays_are_read_only(self, wavy_baseline):
+        t, base = _shared_baseline(wavy_baseline, 400)
+        assert not t.flags.writeable
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0] = 2.0
+
+    def test_writing_a_result_leaves_the_next_call_alone(self, wavy_baseline):
+        first = wavy_baseline.evaluate(3, 400)
+        expected = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(wavy_baseline.evaluate(3, 400), expected)
+
+    def test_equal_models_share_output(self):
+        a = make_baseline_model(91, n_components=(3, 5), excursion=0.30)
+        b = make_baseline_model(91, n_components=(3, 5), excursion=0.30)
+        assert a is not b and a == b
+        assert _shared_baseline(a, 4000) is _shared_baseline(b, 4000)
+        np.testing.assert_array_equal(a.evaluate(2, 4000), b.evaluate(2, 4000))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_components": (-1, 2)},
+            {"excursion": math.nan},
+            {"step_components_max": 0},
+            {"step_excursion": 1.5},
+            {"step_excursion": -0.1},
+            {"step_excursion": math.nan},
+        ],
+    )
+    def test_rejects_out_of_range_settings(self, kwargs):
+        with pytest.raises(ConfigError):
+            make_baseline_model(77, **kwargs)
 
 
 class TestSpectrumStatistics:
@@ -309,6 +379,22 @@ class TestCampaignOrchestration:
         )
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.psd, b.psd)
+
+    def test_starts_no_threads(self, wavy_baseline, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        plan = make_tuning_plan(4.1500e9, 4.15068e9, 85e3, master_seed=22)
+        receiver = make_receiver()
+        spectra, _ = simulate_campaign(
+            plan, receiver, wavy_baseline, tau_s=5.0, n_bins=400, threads=4
+        )
+        rescans = simulate_rescans(
+            plan, plan.steps[:2], receiver, wavy_baseline, tau_s=5.0, n_bins=400, threads=4
+        )
+        assert [s.step_id for s in spectra] == list(range(plan.n_steps))
+        assert [r.step_id for r in rescans] == [0, 1]
 
     def test_anomalies_do_not_touch_calibrations(self, flat_baseline):
         plan = make_tuning_plan(4.1500e9, 4.15068e9, 85e3, master_seed=23)

@@ -468,6 +468,19 @@ class TestFailureModes:
         assert run_cli("simulate", "--config", ini, "--out", tmp_path / "o") == 2
         assert stderr_payload(capsys)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "setting", ["step_components_max = 0", "step_excursion = 1.5"]
+    )
+    def test_bad_baseline_setting_exits_2(self, tmp_path, capsys, setting):
+        ini = write_ini(tmp_path / "bad.ini", SMALL_INI + f"\n[baseline]\n{setting}\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert setting.split()[0] in payload["message"]
+        assert not (out / "spectra").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
 

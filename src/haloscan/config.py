@@ -186,7 +186,7 @@ class CampaignConfig:
             if section != current:
                 lines.append(f"[{section}]")
                 current = section
-            lines.append(f"{key} = {_canonical(self.get(section, key))}")
+            lines.append(f"{key} = {_canonical(value)}")
         return "\n".join(lines) + "\n"
 
     def hash(self):
@@ -311,6 +311,11 @@ def _validate_cross_fields(cfg):
         raise ConfigError("baseline.n_components_lo must be <= n_components_hi")
     if not 0 < cfg.get("inference", "target") < 1:
         raise ConfigError("inference.target must be in (0, 1)")
+    xtol = cfg.get("inference", "xtol")
+    if not (np.isfinite(xtol) and xtol > 0):
+        raise ConfigError("inference.xtol must be finite and > 0")
+    if cfg.get("campaign", "master_seed") < 0:
+        raise ConfigError("campaign.master_seed must be >= 0")
 
 
 def load_config(path, *, seed_override=None):

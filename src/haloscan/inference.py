@@ -9,9 +9,10 @@ g^2: ln U = a * g^2 - b * g^4 with a = sum(eta_sens * x) and
 b = sum(eta_sens^2) / 2, summed over the initial scan and the aligned
 rescans (the Gaussian prior update of Palken et al., "Improved analysis
 framework for axion dark matter searches", PRD 101, 123011 (2020)).  Each
-public call builds (a, b) once in one alignment pass; every coupling is
-then a vectorised log-mean-exp over bins or windows, each shifted by its
-largest ln U.
+alignment pass builds (a, b) for every included bin; every coupling is then
+a vectorised log-mean-exp over bins or windows, each shifted by its largest
+ln U.  The curve, the bisection and the window surface each make their own
+pass, so exclusion_coupling makes two and run_exclusion three.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     """
     if not 0.0 < target < 1.0:
         raise ConfigError(f"target must be in (0, 1), got {target!r}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ConfigError(f"xtol must be finite and > 0, got {xtol!r}")
     grid, curve = exclusion_curve(initial, rescans, _coupling_grid(g_grid))
     crossing = None
     for i in range(grid.size - 1):

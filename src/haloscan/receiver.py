@@ -28,9 +28,6 @@ from .errors import ConfigError, CouplingAtBoundary, NumericError
 # Single-quadrature vacuum PSD; thermal_quanta(nu, 0) must return exactly this.
 VACUUM_QUANTA = 0.25
 
-_GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_GOLDEN_INV2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
 
 def thermal_quanta(nu, temperature):
     """Mean thermal occupation of one quadrature at frequency nu and temperature T.
@@ -331,47 +328,15 @@ def scan_rate(params, hypothesis, window_linewidths=20.0):
     return value
 
 
-def _coupling_objective(beta, s, n_c0, n_f):
-    """Scan rate over the coupling-dependent part of the budget.
-
-    The flat amplifier noise is excluded here: it is negligible at the
-    operating point and, unlike the cavity-filtered terms, does not move
-    with beta; the coupling choice that reproduces the measured operating
-    points follows from the cavity-emitted and reflected noises alone.
-    kappa_l is set to 1 (the optimum is invariant to the linewidth scale).
-    """
-    params = ReceiverParams(
-        nu_c=1.0,
-        kappa_l=1.0,
-        beta=beta,
-        n_c0=n_c0,
-        n_f=n_f,
-        eta=1.0,
-        g_s=s,
-        n_a=0.0,
-    )
-    integrand = _alpha_squared_integrand(params, 1.0)
-    half_window = 20.0 * params.kappa
-    value, abserr = quad(
-        integrand,
-        -half_window,
-        half_window,
-        points=[0.0],
-        limit=200,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return value
-
-
-def optimize_coupling(
-    s, n_c0, n_f, n_a, bounds=(0.1, 100.0), rel_tol=1e-3, prescan_points=80
-):
+def optimize_coupling(s, n_c0, n_f, n_a, bounds=(0.1, 100.0)):
     """Coupling ratio beta maximizing the scan rate.
 
-    A coarse log-spaced pre-scan brackets the maximum, then golden-section
-    search refines it to relative tolerance ``rel_tol``.  Deterministic:
-    fixed grids, no randomness.
+    With a = S * N_f and b = N_c0 - S * N_f, the scan rate over all
+    detunings is proportional to beta^2 / (a (1+beta)^2 + 4 b beta)^{3/2},
+    whose maximum is the positive root of a beta^2 - (a + 2b) beta - 2a = 0
+    (Malnou et al., "Squeezed vacuum used to accelerate the search for a
+    weak classical signal", PRX 9, 021023 (2019)).  Since p = a + 2b > -a,
+    p + sqrt(p^2 + 8 a^2) never cancels, even for anti-squeezed input.
 
     Parameters
     ----------
@@ -381,12 +346,13 @@ def optimize_coupling(
         Cavity and input-field noises, quanta.
     n_a : float
         Flat added noise, quanta.  Validated but excluded from the
-        objective (see _coupling_objective); it shifts the true optimum by
-        less than the scan-rate flatness around it.
+        optimum: it is negligible at the operating point and, unlike the
+        cavity-filtered terms, does not move with beta; the coupling that
+        reproduces the measured operating points follows from the
+        cavity-emitted and reflected noises alone, and n_a shifts the true
+        optimum by less than the scan-rate flatness around it.
     bounds : tuple of float
-        Search interval for beta.
-    rel_tol : float
-        Relative tolerance on the returned beta.
+        Interval the optimum must lie strictly inside.
 
     Returns
     -------
@@ -395,8 +361,8 @@ def optimize_coupling(
     Raises
     ------
     CouplingAtBoundary
-        If the maximum sits at a search boundary (e.g. s = 0, for which
-        ever-stronger overcoupling always helps).
+        If the optimum lies outside ``bounds`` or does not exist (s = 0,
+        for which ever-stronger overcoupling always helps).
     """
     if not (np.isfinite(s) and s >= 0.0):
         raise ConfigError(f"delivered squeezing must be >= 0, got {s!r}")
@@ -410,34 +376,20 @@ def optimize_coupling(
     if not (0.0 < lo < hi):
         raise ConfigError(f"bounds must satisfy 0 < lo < hi, got {bounds!r}")
 
-    grid = np.geomspace(lo, hi, prescan_points)
-    values = [_coupling_objective(b, s, n_c0, n_f) for b in grid]
-    k = int(np.argmax(values))
-    if k == 0 or k == len(grid) - 1:
+    a = s * n_f
+    if a == 0.0:
         raise CouplingAtBoundary(
-            f"scan-rate maximum pinned at beta={grid[k]:.4g} "
-            f"(search bounds {lo:.4g}..{hi:.4g}); widen the bounds or check inputs"
+            "delivered squeezing s = 0 has no coupling optimum: "
+            "ever-stronger overcoupling always helps"
         )
-
-    # Golden-section on the bracketing triple, in log(beta) for scale balance.
-    a, b = math.log(grid[k - 1]), math.log(grid[k + 1])
-    h = b - a
-    c = a + _GOLDEN_INV2 * h
-    d = a + _GOLDEN_INV * h
-    fc = _coupling_objective(math.exp(c), s, n_c0, n_f)
-    fd = _coupling_objective(math.exp(d), s, n_c0, n_f)
-    while h > rel_tol:  # log-interval width bounds the relative beta error
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _GOLDEN_INV2 * h
-            fc = _coupling_objective(math.exp(c), s, n_c0, n_f)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN_INV * h
-            fd = _coupling_objective(math.exp(d), s, n_c0, n_f)
-    return math.exp(0.5 * (a + b))
+    p = 2.0 * n_c0 - a  # a + 2b
+    beta = (p + math.sqrt(p * p + 8.0 * a * a)) / (2.0 * a)
+    if not lo < beta < hi:
+        raise CouplingAtBoundary(
+            f"scan-rate optimum beta={beta:.4g} lies outside the bounds "
+            f"{lo:.4g}..{hi:.4g}; widen the bounds or check inputs"
+        )
+    return beta
 
 
 def variance_vs_phase(theta, s, g_anti):

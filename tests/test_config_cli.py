@@ -481,6 +481,32 @@ class TestFailureModes:
         assert setting.split()[0] in payload["message"]
         assert not (out / "spectra").exists()
 
+    def test_zero_xtol_exits_2_before_simulate(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "bad.ini", SMALL_INI + "\n[inference]\nxtol = 0\n")
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert "xtol" in payload["message"]
+        assert not (out / "spectra").exists()
+
+    @pytest.mark.parametrize(
+        "ini_seed,flags",
+        [("-1", ()), ("4242", ("--seed-override", "-3"))],
+        ids=["ini", "flag"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, ini_seed, flags):
+        text = SMALL_INI.replace("master_seed = 4242", f"master_seed = {ini_seed}")
+        ini = write_ini(tmp_path / "seed.ini", text)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", ini, "--out", out, *flags) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert "master_seed" in payload["message"]
+        assert not (out / "spectra").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
 

@@ -285,6 +285,13 @@ class TestExclusionCoupling:
         with pytest.raises(ConfigError):
             exclusion_coupling(grand, target=1.0)
 
+    @pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan])
+    def test_bad_xtol_rejected(self, xtol):
+        # a bisection to xtol <= 0 never ends once the bracket is two adjacent floats
+        grand = make_grand(n=20)
+        with pytest.raises(ConfigError, match="xtol"):
+            exclusion_coupling(grand, xtol=xtol)
+
 
 class TestRescanInference:
     def test_same_lattice_rescan_multiplies(self):

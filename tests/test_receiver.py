@@ -225,6 +225,78 @@ class TestCouplingOptimum:
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
 
 
+class TestClosedFormOptimum:
+    N_F = THERMAL_61MK
+    LOG_STEP = 1e-4
+    HALF_SPAN = 150  # grid steps either side of the root, i.e. +/- 1.5%
+
+    @pytest.mark.parametrize(
+        "s,n_c0",
+        [
+            # acceptance 3 anchors
+            (1.0, THERMAL_61MK),
+            (1.0, 0.41),
+            (0.40, THERMAL_61MK),
+            (0.40, 0.41),
+            # strong squeezing over a hot cavity, beta near 73
+            (0.1, 1.0),
+            # anti-squeezed input: a + 2b < 0
+            (7.0, 0.41),
+            (3.0, 0.25),
+        ],
+    )
+    def test_is_argmax_of_scan_rate(self, s, n_c0):
+        """The root sits at the grid argmax of the public +/-20-linewidth
+        scan rate.  The grid is exp(k * LOG_STEP), not anchored on the root,
+        and the argmax must be interior; the rate is unimodal in beta, so an
+        interior maximum is the global one."""
+        beta = optimize_coupling(s, n_c0, self.N_F, 0.0)
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
+        center = round(math.log(beta) / self.LOG_STEP)
+        steps = np.arange(center - self.HALF_SPAN, center + self.HALF_SPAN + 1)
+        grid = np.exp(self.LOG_STEP * steps)
+        rates = [
+            scan_rate(
+                ReceiverParams(
+                    nu_c=4.14e9, kappa_l=88.1e3, beta=b, n_c0=n_c0, n_f=self.N_F,
+                    eta=1.0, g_s=s, n_a=0.0,
+                ),
+                hyp,
+            )
+            for b in grid
+        ]
+        k = int(np.argmax(rates))
+        assert 0 < k < grid.size - 1
+        assert grid[k] == pytest.approx(beta, rel=2e-3)
+
+    def test_report_makes_two_quadratures(self, ref_receiver, unsqueezed_receiver, monkeypatch):
+        import haloscan.receiver as receiver
+
+        calls = []
+        real_quad = receiver.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(receiver, "quad", counting_quad)
+        report_enhancement(
+            ref_receiver, unsqueezed_receiver, AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
+        )
+        assert len(calls) == 2
+
+    def test_no_squeezed_noise_has_no_optimum(self):
+        with pytest.raises(CouplingAtBoundary):
+            optimize_coupling(0.0, 0.41, self.N_F, 0.0)
+
+    def test_root_must_lie_strictly_inside_bounds(self):
+        beta = optimize_coupling(0.1, 1.0, self.N_F, 0.0)
+        assert optimize_coupling(0.1, 1.0, self.N_F, 0.0, bounds=(0.5 * beta, 2.0 * beta)) == beta
+        for bounds in ((0.5 * beta, beta), (beta, 2.0 * beta)):
+            with pytest.raises(CouplingAtBoundary):
+                optimize_coupling(0.1, 1.0, self.N_F, 0.0, bounds=bounds)
+
+
 class TestScanRate:
     def test_quadrature_against_analytic_ratio(self):
         """acceptance 4: with the cavity thermalized to the input field and

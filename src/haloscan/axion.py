@@ -57,6 +57,14 @@ class LineshapeParams:
         if self.span_bins < 8:
             raise ConfigError(f"kernel span must be >= 8 bins, got {self.span_bins!r}")
 
+    def check_bin_width(self, bin_width_hz):
+        """Refuse spectra binned at another width than this kernel."""
+        if bin_width_hz != self.bin_width_hz:
+            raise ConfigError(
+                f"lineshape bin width {self.bin_width_hz!r} Hz differs from the "
+                f"spectra's {bin_width_hz!r} Hz"
+            )
+
     def energy_scale(self, nu_a):
         """Exponential scale s = nu_a <v^2> / (3 c^2), Hz."""
         v2 = (self.velocity_dispersion_kms * 1e3) ** 2

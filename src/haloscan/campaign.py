@@ -312,6 +312,7 @@ def simulate_spectrum(
     """
     db = float(bin_width_hz)
     ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=db)
+    ls.check_bin_width(db)
     n_averages = max(1, int(round(tau_s * db)))
     nu_start = band_start(step, db, n_bins)
     freqs = nu_start + np.arange(n_bins) * db
@@ -384,6 +385,7 @@ def simulate_spectrum_literal(
         raise ConfigError("literal mode needs n_segments >= 2")
     db = float(bin_width_hz)
     ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=db)
+    ls.check_bin_width(db)
     nu_start = band_start(step, db, n_bins)
     freqs = nu_start + np.arange(n_bins) * db
     delta = freqs - receiver.nu_c
@@ -482,6 +484,30 @@ def simulate_calibration(
     )
 
 
+def _at_step(receiver, step):
+    """The receiver tuned to a step's nominal center and coupling."""
+    return dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
+
+
+def _simulate_step(
+    plan, step, receiver, baseline_model, seed, *, hypotheses, lineshape, tau_s, bin_width_hz,
+    n_bins, anomaly_rate=0.0, anomaly_types=ANOMALY_TYPES, salt=0, extra=None,
+):
+    """One science acquisition: draw the step's effects, keep the in-band
+    hypotheses and simulate the spectrum; ``extra`` joins its metadata."""
+    effective, diag, spike = draw_step_effects(
+        plan.master_seed, step.step_id, _at_step(receiver, step),
+        anomaly_rate=anomaly_rate, anomaly_types=anomaly_types, n_bins=n_bins, salt=salt,
+    )
+    diag.update(extra or {})
+    grid = {"lineshape": lineshape, "bin_width_hz": bin_width_hz, "n_bins": n_bins}
+    in_band = [h for h in hypotheses if hypothesis_in_band(step, h, **grid)]
+    return simulate_spectrum(
+        step, effective, baseline_model, seed,
+        hypotheses=in_band, tau_s=tau_s, metadata=diag, spike=spike, **grid,
+    )
+
+
 def simulate_campaign(
     plan,
     receiver,
@@ -509,53 +535,20 @@ def simulate_campaign(
     """
     if cal_every < 1:
         raise ConfigError(f"cal_every must be >= 1, got {cal_every!r}")
-    ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=bin_width_hz)
-
-    def one_step(step):
-        nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
-        effective, diag, spike = draw_step_effects(
-            plan.master_seed,
-            step.step_id,
-            nominal,
-            anomaly_rate=anomaly_rate,
-            anomaly_types=anomaly_types,
-            n_bins=n_bins,
-        )
-        in_band = [
-            h
-            for h in hypotheses
-            if hypothesis_in_band(step, h, bin_width_hz=bin_width_hz, n_bins=n_bins, lineshape=ls)
-        ]
-        spectrum = simulate_spectrum(
-            step,
-            effective,
-            baseline_model,
-            step.seed,
-            hypotheses=in_band,
-            lineshape=ls,
-            tau_s=tau_s,
-            bin_width_hz=bin_width_hz,
-            n_bins=n_bins,
-            metadata=diag,
-            spike=spike,
-        )
-        calset = None
+    spectra, calsets = [], []
+    for step in plan.steps:
+        spectra.append(_simulate_step(
+            plan, step, receiver, baseline_model, step.seed, hypotheses=hypotheses,
+            lineshape=lineshape, tau_s=tau_s, bin_width_hz=bin_width_hz, n_bins=n_bins,
+            anomaly_rate=anomaly_rate, anomaly_types=anomaly_types,
+        ))
         if step.step_id % cal_every == 0:
-            calset = simulate_calibration(
-                step,
-                nominal,
+            calsets.append(simulate_calibration(
+                step, _at_step(receiver, step),
                 derive_seed(plan.master_seed, STREAM_CALIBRATION, step.step_id),
-                t_hot_k=t_hot_k,
-                t_cold_k=t_cold_k,
-                tau_s=tau_s,
-                bin_width_hz=bin_width_hz,
-                n_bins=n_bins,
-            )
-        return spectrum, calset
-
-    results = [one_step(step) for step in plan.steps]
-    spectra = [spectrum for spectrum, _ in results]
-    calsets = [calset for _, calset in results if calset is not None]
+                t_hot_k=t_hot_k, t_cold_k=t_cold_k,
+                tau_s=tau_s, bin_width_hz=bin_width_hz, n_bins=n_bins,
+            ))
     return spectra, calsets
 
 
@@ -583,36 +576,20 @@ def simulate_rescans(
 ):
     """Re-acquire a subset of steps with fresh noise, no anomalies.
 
-    Durations match the initial scan.  A persistent hypothesis appears in
-    both passes; a statistical excess does not.  ``threads`` is accepted
-    and ignored, as in ``simulate_campaign``.
+    Each rescan is the initial scan's step with no anomaly, its own noise
+    seed (``STREAM_RESCAN``) and diagnostics (salt 1), and an acquisition
+    time after the initial scan.  Durations match the initial scan.  A
+    persistent hypothesis appears in both passes; a statistical excess
+    does not.  ``threads`` is accepted and ignored, as in
+    ``simulate_campaign``.
     """
-    ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=bin_width_hz)
-
-    def one_step(order, step):
-        nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
-        _, diag, _ = draw_step_effects(
-            plan.master_seed, step.step_id, nominal, anomaly_rate=0.0, salt=1
-        )
-        diag["rescan"] = True
-        in_band = [
-            h
-            for h in hypotheses
-            if hypothesis_in_band(step, h, bin_width_hz=bin_width_hz, n_bins=n_bins, lineshape=ls)
-        ]
-        spectrum = simulate_spectrum(
-            step,
-            nominal,
-            baseline_model,
+    return [
+        _simulate_step(
+            plan, step, receiver, baseline_model,
             derive_seed(plan.master_seed, STREAM_RESCAN, step.step_id),
-            hypotheses=in_band,
-            lineshape=ls,
-            tau_s=tau_s,
-            bin_width_hz=bin_width_hz,
-            n_bins=n_bins,
-            metadata=diag,
+            hypotheses=hypotheses, lineshape=lineshape, tau_s=tau_s,
+            bin_width_hz=bin_width_hz, n_bins=n_bins,
+            salt=1, extra={"rescan": True, "t_acq_s": (plan.n_steps + order) * tau_s},
         )
-        spectrum.metadata["t_acq_s"] = (plan.n_steps + order) * tau_s
-        return spectrum
-
-    return [one_step(order, step) for order, step in enumerate(steps)]
+        for order, step in enumerate(steps)
+    ]

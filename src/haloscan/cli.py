@@ -60,40 +60,16 @@ class Workspace:
 
     def __init__(self, root):
         self.root = root
+        self.spectra_dir = self.path("spectra")
+        self.calibration_dir = self.path("calibration")
+        self.cal_results = self.path("calibration_results.json")
+        self.grand = self.path("grand_spectrum.dat")
+        self.rescan_dir = self.path("rescans")
+        self.rescan_grand = self.path("rescans", "grand_spectrum.dat")
+        self.exclusion_dir = self.path("exclusion")
 
     def path(self, *parts):
         return os.path.join(self.root, *parts)
-
-    @property
-    def spectra_dir(self):
-        return self.path("spectra")
-
-    @property
-    def calibration_dir(self):
-        return self.path("calibration")
-
-    @property
-    def cal_results(self):
-        return self.path("calibration_results.json")
-
-    @property
-    def grand(self):
-        return self.path("grand_spectrum.dat")
-
-    @property
-    def rescan_dir(self):
-        return self.path("rescans")
-
-    @property
-    def rescan_grand(self):
-        return self.path("rescans", "grand_spectrum.dat")
-
-    @property
-    def exclusion_dir(self):
-        return self.path("exclusion")
-
-    def step_file(self, step_id):
-        return os.path.join(self.spectra_dir, f"step_{step_id:05d}.spec")
 
     def calset_dir(self, step_id):
         return os.path.join(self.calibration_dir, f"step_{step_id:05d}")
@@ -101,6 +77,15 @@ class Workspace:
 
 def _utc_now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+
+
+def _read_previous(path):
+    """A JSON file an earlier stage wrote, or {} if it is missing or unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
 
 
 def _update_manifest(ws, cfg, stage, artifacts):
@@ -114,31 +99,17 @@ def _update_manifest(ws, cfg, stage, artifacts):
         "package_version": __version__,
         "stages": {},
     }
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                previous = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            previous = {}
-        if previous.get("config_hash") == manifest["config_hash"]:
-            manifest["stages"] = previous.get("stages", {})
-    manifest["stages"][stage] = {"artifacts": sorted(artifacts)}
+    previous = _read_previous(path)
+    if previous.get("config_hash") == manifest["config_hash"]:
+        manifest["stages"] = previous.get("stages", {})
+    manifest["stages"][stage] = {
+        "artifacts": sorted(os.path.relpath(p, ws.root) for p in artifacts)
+    }
     write_json(manifest, path)
 
-    sidecar_path = ws.path(_SIDECAR)
-    sidecar = {"stages": {}}
-    if os.path.exists(sidecar_path):
-        try:
-            with open(sidecar_path) as fh:
-                sidecar = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            sidecar = {"stages": {}}
+    sidecar = _read_previous(ws.path(_SIDECAR))
     sidecar.setdefault("stages", {})[stage] = _utc_now()
-    write_json(sidecar, sidecar_path)
-
-
-def _relpaths(ws, paths):
-    return [os.path.relpath(p, ws.root) for p in paths]
+    write_json(sidecar, ws.path(_SIDECAR))
 
 
 def _provenance(cfg):
@@ -159,44 +130,55 @@ def _check_seed(cfg, metadata, source):
 # -- stages ---------------------------------------------------------
 
 
-def stage_simulate(cfg, ws, threads):
+def _acquisition(cfg):
+    """Keywords shared by the initial scan and the rescans."""
+    return {
+        "lineshape": cfg.lineshape(),
+        "tau_s": cfg.get("acquisition", "tau_s"),
+        "bin_width_hz": cfg.get("acquisition", "bin_width_hz"),
+        "n_bins": cfg.get("acquisition", "n_bins"),
+    }
+
+
+def _write_spectra(cfg, spectra, directory):
+    """Stamp and write science spectra as step_NNNNN.spec; returns the paths."""
+    os.makedirs(directory, exist_ok=True)
+    stamp = _provenance(cfg)
+    paths = []
+    for spectrum in spectra:
+        path = os.path.join(directory, f"step_{spectrum.step_id:05d}.spec")
+        spectrum.metadata.update(stamp)
+        write_spectrum(spectrum, path)
+        paths.append(path)
+    return paths
+
+
+def stage_simulate(cfg, ws):
     plan = cfg.tuning_plan()
     if plan.n_steps == 0:
         raise ConfigError("tuning plan is empty; nothing to simulate")
-    receiver = cfg.receiver()
-    baseline = cfg.baseline_model()
     log.info("simulating %d steps", plan.n_steps)
     spectra, calsets = simulate_campaign(
         plan,
-        receiver,
-        baseline,
+        cfg.receiver(),
+        cfg.baseline_model(),
         hypotheses=cfg.hypotheses(),
-        lineshape=cfg.lineshape(),
-        tau_s=cfg.get("acquisition", "tau_s"),
-        bin_width_hz=cfg.get("acquisition", "bin_width_hz"),
-        n_bins=cfg.get("acquisition", "n_bins"),
         anomaly_rate=cfg.get("anomalies", "rate"),
         anomaly_types=cfg.get("anomalies", "types"),
         cal_every=cfg.get("calibration", "cal_every"),
         t_hot_k=cfg.get("calibration", "t_hot_k"),
         t_cold_k=cfg.get("calibration", "t_cold_k"),
-        threads=threads,
+        **_acquisition(cfg),
     )
-    os.makedirs(ws.spectra_dir, exist_ok=True)
+    artifacts = _write_spectra(cfg, spectra, ws.spectra_dir)
     stamp = _provenance(cfg)
-    artifacts = []
-    for spectrum in spectra:
-        path = ws.step_file(spectrum.step_id)
-        spectrum.metadata.update(stamp)
-        write_spectrum(spectrum, path)
-        artifacts.append(path)
     for calset in calsets:
         directory = ws.calset_dir(calset.step_id)
         for spectrum in calset.spectra().values():
             spectrum.metadata.update(stamp)
         write_calibration_set(calset, directory)
         artifacts.append(directory)
-    _update_manifest(ws, cfg, "simulate", _relpaths(ws, artifacts))
+    _update_manifest(ws, cfg, "simulate", artifacts)
     log.info("wrote %d spectra, %d calibration sets", len(spectra), len(calsets))
 
 
@@ -220,7 +202,7 @@ def stage_calibrate(cfg, ws):
     geometry = cfg.receiver()
     results = [_calibrate_one(cfg, geometry, d) for d in dirs]
     write_calibration_results(results, ws.cal_results)
-    _update_manifest(ws, cfg, "calibrate", _relpaths(ws, [ws.cal_results]))
+    _update_manifest(ws, cfg, "calibrate", [ws.cal_results])
     log.info("calibrated %d sets", len(results))
 
 
@@ -231,105 +213,80 @@ def _calibrate_one(cfg, geometry, directory):
     return run_calibration(calset, geometry, eta=cfg.get("receiver", "eta"))
 
 
-def stage_process(cfg, ws, threads):
-    spectra = _load_spectra(cfg, ws)
-    if not os.path.exists(ws.cal_results):
-        raise DataError(f"{ws.cal_results} not found; run calibrate first")
-    cal_results = read_calibration_results(ws.cal_results)
-    geometry = cfg.receiver()
-    lineshape = cfg.lineshape()
-    settings = cfg.process_settings()
-    tau_s = cfg.get("acquisition", "tau_s")
-    snr_ref = cfg.get("sensitivity", "snr_ref")
-
-    out = process_campaign(
-        spectra, cal_results, geometry, lineshape, settings,
-        tau_s=tau_s, snr_ref=snr_ref, threads=threads,
-    )
-    artifacts = [ws.grand, ws.path("cut_log.json"),
-                 ws.path("filter_report.json"), ws.path("rescan_candidates.json")]
-    out.grand.metadata.update(_provenance(cfg))
-    write_grand_spectrum(out.grand, ws.grand)
-    write_json(out.cut_log.to_dict(), ws.path("cut_log.json"))
-    write_json(
-        {
-            "t_signal": out.filter_report.t_signal,
-            "wide_suppression": out.filter_report.wide_suppression,
-            "if_window_bins": settings.if_window_bins,
-            "if_order": settings.if_order,
-            "rf_window_bins": settings.rf_window_bins,
-            "rf_order": settings.rf_order,
-            "n_spectra": out.filter_report.n_spectra,
-        },
-        ws.path("filter_report.json"),
-    )
-    write_json(out.rescans.to_dict(), ws.path("rescan_candidates.json"))
-    log.info(
-        "processed %d spectra (%d cut), %d rescan candidates",
-        len(out.processed), out.cut_log.n_cut, len(out.rescans.candidates),
-    )
-
-    if out.rescans.candidates:
-        artifacts += _rescan_followup(cfg, ws, out, cal_results, threads)
-    _update_manifest(ws, cfg, "process", _relpaths(ws, artifacts))
+def _write_jsons(directory, payloads):
+    """Write each name -> payload as JSON under directory; returns the paths."""
+    paths = [os.path.join(directory, name) for name in payloads]
+    for path, payload in zip(paths, payloads.values()):
+        write_json(payload, path)
+    return paths
 
 
-def _rescan_followup(cfg, ws, out, cal_results, threads):
-    plan = cfg.tuning_plan()
-    geometry = cfg.receiver()
-    lineshape = cfg.lineshape()
-    settings = cfg.process_settings()
-    tau_s = cfg.get("acquisition", "tau_s")
-    snr_ref = cfg.get("sensitivity", "snr_ref")
-    steps = rescan_steps(plan, [c.nu_hz for c in out.rescans.candidates])
-    log.info("re-acquiring %d steps for %d candidates",
-             len(steps), len(out.rescans.candidates))
-    rescans = simulate_rescans(
-        plan,
-        steps,
-        geometry,
-        cfg.baseline_model(),
-        hypotheses=cfg.hypotheses(),
-        lineshape=lineshape,
-        tau_s=tau_s,
-        bin_width_hz=cfg.get("acquisition", "bin_width_hz"),
-        n_bins=cfg.get("acquisition", "n_bins"),
-        threads=threads,
-    )
-    spectra_dir = os.path.join(ws.rescan_dir, "spectra")
-    os.makedirs(spectra_dir, exist_ok=True)
-    stamp = _provenance(cfg)
-    artifacts = []
-    for spectrum in rescans:
-        path = os.path.join(spectra_dir, f"step_{spectrum.step_id:05d}.spec")
-        spectrum.metadata.update(stamp)
-        write_spectrum(spectrum, path)
-        artifacts.append(path)
-    grand, _, _, _ = process_group(
-        rescans, cal_results, geometry, lineshape, settings,
-        tau_s=tau_s, snr_ref=snr_ref, threads=threads,
-    )
-    grand.metadata.update(stamp)
-    write_grand_spectrum(grand, ws.rescan_grand)
-    refl = flag_rescans(grand, settings.rescan_threshold_sigma, settings.merge_width_bins)
-    write_json(refl.to_dict(), os.path.join(ws.rescan_dir, "candidates.json"))
-    persistence = check_persistence(
-        out.rescans.candidates, grand,
-        settings.rescan_threshold_sigma, settings.merge_width_bins,
-    )
-    write_json({"candidates": persistence}, os.path.join(ws.rescan_dir, "persistence.json"))
-    artifacts += [
-        ws.rescan_grand,
-        os.path.join(ws.rescan_dir, "candidates.json"),
-        os.path.join(ws.rescan_dir, "persistence.json"),
-    ]
-    return artifacts
+def _write_grand(cfg, grand, path):
+    grand.metadata.update(_provenance(cfg))
+    write_grand_spectrum(grand, path)
 
 
 def _read_grand(cfg, path):
     grand = read_grand_spectrum(path)
     _check_seed(cfg, grand.metadata, path)
     return grand
+
+
+def stage_process(cfg, ws):
+    """Process the initial scan, then re-acquire and process its candidates."""
+    spectra = _load_spectra(cfg, ws)
+    if not os.path.exists(ws.cal_results):
+        raise DataError(f"{ws.cal_results} not found; run calibrate first")
+    cal_results = read_calibration_results(ws.cal_results)
+    geometry = cfg.receiver()
+    acquisition = _acquisition(cfg)
+    lineshape = acquisition["lineshape"]
+    settings = cfg.process_settings()
+    analysis = {"tau_s": acquisition["tau_s"], "snr_ref": cfg.get("sensitivity", "snr_ref")}
+
+    out = process_campaign(spectra, cal_results, geometry, lineshape, settings, **analysis)
+    candidates = out.rescans.candidates
+    _write_grand(cfg, out.grand, ws.grand)
+    report = out.filter_report
+    artifacts = [ws.grand] + _write_jsons(ws.root, {
+        "cut_log.json": out.cut_log.to_dict(),
+        "filter_report.json": {
+            "t_signal": report.t_signal,
+            "wide_suppression": report.wide_suppression,
+            "if_window_bins": settings.if_window_bins,
+            "if_order": settings.if_order,
+            "rf_window_bins": settings.rf_window_bins,
+            "rf_order": settings.rf_order,
+            "n_spectra": report.n_spectra,
+        },
+        "rescan_candidates.json": out.rescans.to_dict(),
+    })
+    log.info(
+        "processed %d spectra (%d cut), %d rescan candidates",
+        len(out.processed), out.cut_log.n_cut, len(candidates),
+    )
+
+    if candidates:
+        plan = cfg.tuning_plan()
+        steps = rescan_steps(plan, [c.nu_hz for c in candidates])
+        log.info("re-acquiring %d steps for %d candidates", len(steps), len(candidates))
+        rescans = simulate_rescans(
+            plan, steps, geometry, cfg.baseline_model(),
+            hypotheses=cfg.hypotheses(), **acquisition,
+        )
+        artifacts += _write_spectra(cfg, rescans, os.path.join(ws.rescan_dir, "spectra"))
+        grand, _, _, _ = process_group(
+            rescans, cal_results, geometry, lineshape, settings, **analysis
+        )
+        _write_grand(cfg, grand, ws.rescan_grand)
+        threshold, merge = settings.rescan_threshold_sigma, settings.merge_width_bins
+        artifacts += [ws.rescan_grand] + _write_jsons(ws.rescan_dir, {
+            "candidates.json": flag_rescans(grand, threshold, merge).to_dict(),
+            "persistence.json": {
+                "candidates": check_persistence(candidates, grand, threshold, merge)
+            },
+        })
+    _update_manifest(ws, cfg, "process", artifacts)
 
 
 def stage_exclude(cfg, ws):
@@ -362,12 +319,21 @@ def stage_exclude(cfg, ws):
         for name in ("exclusion.json", "exclusion_curve.csv",
                      "window_contours.csv", "window_surface.csv")
     ]
-    _update_manifest(ws, cfg, "exclude", _relpaths(ws, artifacts))
+    _update_manifest(ws, cfg, "exclude", artifacts)
     if result.g_star is None:
         log.warning("exclusion target not bracketed by the coupling grid")
     else:
         log.info("excluded couplings above %.4f at target %.3f",
                  result.g_star, result.target)
+
+
+def _operating_points(cfg):
+    """(squeezed receiver, its unsqueezed twin, g = 1 axion on resonance)."""
+    squeezed = cfg.receiver()
+    hyp = AxionHypothesis(
+        nu_a_hz=squeezed.nu_c, g_ksvz=1.0, snr_ref=cfg.get("sensitivity", "snr_ref")
+    )
+    return squeezed, dataclasses.replace(squeezed, g_s=1.0), hyp
 
 
 def _write_budget_csv(budget, path):
@@ -377,32 +343,22 @@ def _write_budget_csv(budget, path):
 
 
 def stage_budget(cfg, ws):
-    receiver = cfg.receiver()
-    hyp = AxionHypothesis(
-        nu_a_hz=receiver.nu_c, g_ksvz=1.0, snr_ref=cfg.get("sensitivity", "snr_ref")
-    )
+    squeezed, unsqueezed, hyp = _operating_points(cfg)
     half_span = (cfg.get("acquisition", "n_bins") // 2) * cfg.get(
         "acquisition", "bin_width_hz"
     )
     detunings = np.linspace(-half_span, half_span, 3001)
     artifacts = []
-    for name, params in (
-        ("budget.csv", receiver),
-        ("budget_unsqueezed.csv", dataclasses.replace(receiver, g_s=1.0)),
-    ):
+    for name, params in (("budget.csv", squeezed), ("budget_unsqueezed.csv", unsqueezed)):
         path = ws.path(name)
         _write_budget_csv(noise_budget(params, detunings, hyp), path)
         artifacts.append(path)
-    _update_manifest(ws, cfg, "budget", _relpaths(ws, artifacts))
+    _update_manifest(ws, cfg, "budget", artifacts)
     log.info("wrote noise budgets over +-%.0f Hz", half_span)
 
 
 def stage_enhancement(cfg, ws):
-    squeezed = cfg.receiver()
-    unsqueezed = dataclasses.replace(squeezed, g_s=1.0)
-    hyp = AxionHypothesis(
-        nu_a_hz=squeezed.nu_c, g_ksvz=1.0, snr_ref=cfg.get("sensitivity", "snr_ref")
-    )
+    squeezed, unsqueezed, hyp = _operating_points(cfg)
     report = report_enhancement(squeezed, unsqueezed, hyp)
     report.update(
         {
@@ -417,7 +373,7 @@ def stage_enhancement(cfg, ws):
     )
     path = ws.path("enhancement.json")
     write_json(report, path)
-    _update_manifest(ws, cfg, "enhancement", _relpaths(ws, [path]))
+    _update_manifest(ws, cfg, "enhancement", [path])
     log.info("scan-rate ratio %.3f at couplings %.3f / %.3f",
              report["rate_ratio"], report["beta_squeezed"], report["beta_unsqueezed"])
 
@@ -425,21 +381,10 @@ def stage_enhancement(cfg, ws):
 # -- driver ---------------------------------------------------------
 
 
-def _run_stage(stage, cfg, ws, threads):
-    if stage == "simulate":
-        stage_simulate(cfg, ws, threads)
-    elif stage == "calibrate":
-        stage_calibrate(cfg, ws)
-    elif stage == "process":
-        stage_process(cfg, ws, threads)
-    elif stage == "exclude":
-        stage_exclude(cfg, ws)
-    elif stage == "budget":
-        stage_budget(cfg, ws)
-    elif stage == "enhancement":
-        stage_enhancement(cfg, ws)
-    else:
-        raise ConfigError(f"unknown stage {stage!r}")
+def _run_stage(stage, cfg, ws):
+    # Looked up when called, not bound in a table at import, so that a
+    # wrapper installed on the module attribute (a tracer, a test) is used.
+    globals()[f"stage_{stage}"](cfg, ws)
 
 
 def _add_common(parser):
@@ -526,7 +471,7 @@ def main(argv=None):
         stages = STAGES if command == "all" else (command,)
         for stage in stages:
             log.info("stage %s", stage)
-            _run_stage(stage, cfg, ws, args.threads)
+            _run_stage(stage, cfg, ws)
     except ConfigError as exc:
         return _fail(exc, 2)
     except NumericError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,11 +28,14 @@ _NO_DEFAULT = object()
 
 
 def _parse_float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text):
-    value = float(text)
+    value = _parse_float(text)
     if value != int(value):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
@@ -45,7 +49,7 @@ def _parse_optional_float(text):
     text = text.strip()
     if text.lower() in ("", "none", "off"):
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 def _parse_pairs(text):
@@ -169,7 +173,7 @@ def _canonical(value):
 class CampaignConfig:
     """Resolved configuration; access values via get(section, key)."""
 
-    values: tuple  # tuple of (section, key, value), sorted
+    values: tuple  # (section, key, value) in schema order; the hash depends on it
 
     def get(self, section, key):
         for s, k, v in self.values:

@@ -411,6 +411,7 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
     for s in spectra:
         if s.n_bins != n_bins or s.bin_width_hz != db:
             raise DataError("spectra disagree on the IF grid")
+    lineshape.check_bin_width(db)
     if settings.rf_window_bins >= n_bins or settings.if_window_bins >= n_bins:
         raise ConfigError("filter window exceeds the analysis band")
 
@@ -488,6 +489,7 @@ def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_r
     if not processed:
         raise DataError("nothing to combine")
     db = processed[0].bin_width_hz
+    lineshape.check_bin_width(db)
     starts = [p.nu_start_hz for p in processed]
     rf_start = min(starts)
     offsets = []
@@ -647,10 +649,10 @@ def check_persistence(candidates, rescan_grand, threshold_sigma, merge_width_bin
 def process_group(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
     """Structure removal, combination and coadd for one group of spectra.
 
-    Single-threaded; ``threads`` is passed on to ``remove_structure``,
-    which ignores it, so the output does not depend on it.
+    Single-threaded; ``threads`` is accepted and ignored, so the output
+    does not depend on it.
     """
-    processed, report = remove_structure(spectra, settings, lineshape, threads=threads)
+    processed, report = remove_structure(spectra, settings, lineshape)
     combined = combine_spectra(
         processed, cal_results, geometry, lineshape, tau_s=tau_s, snr_ref=snr_ref
     )
@@ -671,14 +673,14 @@ class ProcessOutput:
 def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
     """Cuts, then ``process_group`` on the kept spectra, then rescan flags.
 
-    Single-threaded; the output does not depend on ``threads``.
+    Single-threaded; ``threads`` is accepted and ignored, so the output
+    does not depend on it.
     """
     kept, cut_log = apply_cuts(spectra, settings.cuts)
     if not kept:
         raise DataError("all spectra were cut; empty campaign")
     grand, combined, processed, report = process_group(
-        kept, cal_results, geometry, lineshape, settings,
-        tau_s=tau_s, snr_ref=snr_ref, threads=threads,
+        kept, cal_results, geometry, lineshape, settings, tau_s=tau_s, snr_ref=snr_ref
     )
     rescans = flag_rescans(
         grand, settings.rescan_threshold_sigma, settings.merge_width_bins

@@ -244,6 +244,7 @@ def test_05_radiometer_residuals(capsys, reference_processed):
     )
 
 
+@pytest.mark.slow
 def test_06_grand_spectrum_null(capsys):
     t0 = time.monotonic()
     stride = None
@@ -269,6 +270,7 @@ def test_06_grand_spectrum_null(capsys):
     )
 
 
+@pytest.mark.slow
 def test_07_injection_recovery(capsys):
     t0 = time.monotonic()
     deviations, persisted = [], 0

@@ -1,5 +1,6 @@
 """Campaign generation: plans, seeding, spectrum statistics, anomalies."""
 
+import dataclasses
 import math
 import threading
 
@@ -24,6 +25,7 @@ from haloscan import (
 )
 from haloscan.campaign import (
     STREAM_BASELINE,
+    STREAM_RESCAN,
     _shared_baseline,
     band_start,
     draw_step_effects,
@@ -233,6 +235,16 @@ class TestSpectrumStatistics:
             )
 
 
+    def test_lineshape_on_another_bin_width_rejected(self, small_plan, flat_baseline):
+        step = small_plan.steps[0]
+        receiver = make_receiver(nu_c=step.nu_c_hz)
+        with pytest.raises(ConfigError, match="bin width"):
+            simulate_spectrum(
+                step, receiver, flat_baseline, 1, n_bins=2000,
+                lineshape=LineshapeParams(bin_width_hz=50.0), bin_width_hz=100.0,
+            )
+
+
 class TestLiteralMode:
     def test_matches_truth_and_chi_squared_spread(self, small_plan, flat_baseline):
         step = small_plan.steps[0]
@@ -266,6 +278,14 @@ class TestLiteralMode:
         with pytest.raises(ConfigError):
             simulate_spectrum_literal(
                 small_plan.steps[0], make_receiver(), flat_baseline, 1, n_segments=1
+            )
+
+
+    def test_lineshape_on_another_bin_width_rejected(self, small_plan, flat_baseline):
+        with pytest.raises(ConfigError, match="bin width"):
+            simulate_spectrum_literal(
+                small_plan.steps[0], make_receiver(), flat_baseline, 1, n_segments=2,
+                n_bins=256, lineshape=LineshapeParams(bin_width_hz=50.0), bin_width_hz=100.0,
             )
 
 
@@ -453,3 +473,32 @@ class TestRescans:
             assert ratio.std() < 3.0 / math.sqrt(50.0 * 100.0)  # same underlying truth
             assert second.metadata["rescan"] is True
             assert second.metadata["t_acq_s"] > first.metadata["t_acq_s"]
+
+    def test_matches_simulate_spectrum_exactly(self, wavy_baseline):
+        """A rescan is simulate_spectrum at the step's nominal receiver, with
+        the rescan noise seed and the salt-1 diagnostics, timed after the scan."""
+        plan = make_tuning_plan(4.1500e9, 4.15068e9, 85e3, master_seed=27)
+        receiver = make_receiver()
+        ls = LineshapeParams(bin_width_hz=50.0)
+        shape = dict(tau_s=20.0, bin_width_hz=50.0, n_bins=800)
+        steps = [plan.steps[1], plan.steps[3]]
+        hyp = AxionHypothesis(nu_a_hz=steps[0].nu_c_hz + 5e3, g_ksvz=20.0)
+        rescans = simulate_rescans(
+            plan, steps, receiver, wavy_baseline, hypotheses=(hyp,), lineshape=ls, **shape
+        )
+        assert [r.step_id for r in rescans] == [1, 3]
+        for order, (step, got, in_band) in enumerate(zip(steps, rescans, ([hyp], []))):
+            nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
+            _, diag, _ = draw_step_effects(plan.master_seed, step.step_id, nominal, salt=1)
+            want = simulate_spectrum(
+                step, nominal, wavy_baseline,
+                derive_seed(plan.master_seed, STREAM_RESCAN, step.step_id),
+                hypotheses=in_band, lineshape=ls, metadata=diag, **shape,
+            )
+            np.testing.assert_array_equal(got.psd, want.psd)
+            assert (got.nu_start_hz, got.bin_width_hz, got.n_averages) == (
+                want.nu_start_hz, want.bin_width_hz, want.n_averages
+            )
+            assert got.metadata == dict(
+                want.metadata, rescan=True, t_acq_s=(plan.n_steps + order) * 20.0
+            )

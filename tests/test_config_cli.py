@@ -130,6 +130,13 @@ class TestConfigResolution:
             "[anomalies]\nrate = 1.5\n",
             "[baseline]\nn_components_lo = 9\nn_components_hi = 3\n",
             "[inference]\ntarget = 1.0\n",
+            "[campaign]\nstep_hz = nan\n",
+            "[acquisition]\ntau_s = nan\n",
+            "[acquisition]\ntau_s = inf\n",
+            "[acquisition]\nn_bins = inf\n",
+            "[rescan]\nthreshold_sigma = nan\n",
+            "[cuts]\ndrift_hz_max = nan\n",
+            "[cuts]\nsqueezing_db_min = -inf\n",
         ],
     )
     def test_cross_field_validation(self, tmp_path, body):
@@ -481,6 +488,19 @@ class TestFailureModes:
         assert setting.split()[0] in payload["message"]
         assert not (out / "spectra").exists()
 
+    @pytest.mark.parametrize("key,value", [("tau_s", "nan"), ("n_bins", "inf")])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        line = next(l for l in SMALL_INI.splitlines() if l.startswith(key + " "))
+        ini = write_ini(tmp_path / "bad.ini", SMALL_INI.replace(line, f"{key} = {value}"))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert f"acquisition.{key}" in payload["message"]
+        assert "finite" in payload["message"]
+        assert not (out / "spectra").exists()
+
     def test_zero_xtol_exits_2_before_simulate(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "bad.ini", SMALL_INI + "\n[inference]\nxtol = 0\n")
         out = tmp_path / "o"
@@ -518,6 +538,19 @@ class TestFailureModes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "NumericError"
         assert payload["exit_code"] == 3
+
+    def test_stage_looked_up_when_called(self, tmp_path, monkeypatch):
+        # wrappers set on the module attribute (a tracer) must be the ones run
+        ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
+        calls = []
+        monkeypatch.setattr(
+            "haloscan.cli.stage_budget", lambda cfg, ws: calls.append((cfg, ws))
+        )
+        assert run_cli("budget", "--config", ini, "--out", tmp_path / "o") == 0
+        [(cfg, ws)] = calls
+        assert cfg.hash() == load_config(ini).hash()
+        assert ws.root == str(tmp_path / "o")
+        assert not (tmp_path / "o" / "budget.csv").exists()
 
     def test_process_before_simulate_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)

@@ -201,6 +201,11 @@ class TestRemoveStructure:
         with pytest.raises(DataError):
             remove_structure([a, b], SMALL_BAND, LineshapeParams())
 
+    def test_lineshape_on_another_bin_width_rejected(self):
+        spectra = [make_raw(0, n=1000), make_raw(1, n=1000, seed=2)]
+        with pytest.raises(ConfigError, match="bin width"):
+            remove_structure(spectra, SMALL_BAND, LineshapeParams(bin_width_hz=50.0))
+
 
 # -- scipy.signal as an independent oracle for the numpy filter path --------
 
@@ -383,6 +388,15 @@ class TestCombination:
         b = make_processed(1, REF_NU + 150.0, np.zeros(500), sigma=1e-3)
         with pytest.raises(DataError):
             combine_spectra([a, b], [cal], receiver, default_lineshape, tau_s=3600.0)
+
+    def test_lineshape_on_another_bin_width_rejected(self):
+        receiver = make_receiver()
+        cal = truth_cal(0, REF_NU, receiver)
+        processed = [make_processed(0, REF_NU, np.zeros(500), sigma=1e-3)]
+        with pytest.raises(ConfigError, match="bin width"):
+            combine_spectra(
+                processed, [cal], receiver, LineshapeParams(bin_width_hz=50.0), tau_s=3600.0
+            )
 
 
 class TestCoadd:

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .inference import (
     ExclusionResult,
-    aggregate_update,
     exclusion_coupling,
     exclusion_curve,
     prior_update,

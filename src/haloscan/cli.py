@@ -15,6 +15,7 @@ import glob
 import json
 import logging
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -246,6 +247,10 @@ def stage_process(cfg, ws):
 
     out = process_campaign(spectra, cal_results, geometry, lineshape, settings, **analysis)
     candidates = out.rescans.candidates
+    # only process writes rescans/; a follow-up left by an earlier run must
+    # not reach exclude when this run flags no candidates
+    if os.path.isdir(ws.rescan_dir):
+        shutil.rmtree(ws.rescan_dir)
     _write_grand(cfg, out.grand, ws.grand)
     report = out.filter_report
     artifacts = [ws.grand] + _write_jsons(ws.root, {

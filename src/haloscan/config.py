@@ -53,24 +53,13 @@ def _parse_optional_float(text):
 
 
 def _parse_pairs(text):
-    """Space-separated lo:hi pairs, e.g. '4.140e9:4.145e9'."""
+    """Space-separated x:y pairs of finite numbers, e.g. '4.140e9:4.145e9'."""
     out = []
     for item in text.split():
-        lo, _, hi = item.partition(":")
-        if not _:
-            raise ValueError(f"expected lo:hi, got {item!r}")
-        out.append((float(lo), float(hi)))
-    return tuple(out)
-
-
-def _parse_injections(text):
-    """Space-separated nu_hz:g_ksvz items."""
-    out = []
-    for item in text.split():
-        nu, _, g = item.partition(":")
-        if not _:
-            raise ValueError(f"expected nu_hz:g_ksvz, got {item!r}")
-        out.append((float(nu), float(g)))
+        x, sep, y = item.partition(":")
+        if not sep:
+            raise ValueError(f"expected x:y, got {item!r}")
+        out.append((_parse_float(x), _parse_float(y)))
     return tuple(out)
 
 
@@ -124,7 +113,7 @@ _SCHEMA = {
         "types": (_parse_types, ANOMALY_TYPES),
     },
     "injections": {
-        "list": (_parse_injections, ()),
+        "list": (_parse_pairs, ()),
     },
     "sensitivity": {
         "snr_ref": (_parse_float, 1.0),

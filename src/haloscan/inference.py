@@ -8,11 +8,13 @@ Since mu is linear in g^2, the combined update of a bin is a quadratic in
 g^2: ln U = a * g^2 - b * g^4 with a = sum(eta_sens * x) and
 b = sum(eta_sens^2) / 2, summed over the initial scan and the aligned
 rescans (the Gaussian prior update of Palken et al., "Improved analysis
-framework for axion dark matter searches", PRD 101, 123011 (2020)).  Each
-alignment pass builds (a, b) for every included bin; every coupling is then
-a vectorised log-mean-exp over bins or windows, each shifted by its largest
-ln U.  The curve, the bisection and the window surface each make their own
-pass, so exclusion_coupling makes two and run_exclusion three.
+framework for axion dark matter searches", PRD 101, 123011 (2020)).
+run_exclusion builds (a, b) for every included bin in one alignment pass
+over the initial scan and the rescans, then makes one grid loop: at each
+coupling a vectorised log-mean-exp over the n_windows windows, shifted by
+each window's largest ln U.  The aggregate curve is the size-weighted pool
+of the window means, the bisection for g* reuses (a, b), and g* and the
+window contours take their grid cell from one last-crossing rule.
 """
 
 from __future__ import annotations
@@ -68,20 +70,6 @@ def _included(grand):
     return grand.valid & (grand.eta_sens > 0)
 
 
-def _aligned_scans(initial, rescans):
-    """Integer bin offsets of each rescan grand against the initial grid."""
-    db = initial.bin_width_hz
-    out = []
-    for grand in rescans:
-        if grand.bin_width_hz != db:
-            raise DataError("rescan bin width differs from initial scan")
-        off = (grand.rf_start_hz - initial.rf_start_hz) / db
-        if abs(off - round(off)) > 1e-6:
-            raise DataError("rescan grid not aligned to the initial lattice")
-        out.append((int(round(off)), grand))
-    return out
-
-
 def _coefficients(initial, rescans):
     """Per-included-bin (a, b) with ln U = a * g^2 - b * g^4.
 
@@ -98,9 +86,15 @@ def _coefficients(initial, rescans):
     b = 0.5 * eta**2
     position = np.full(initial.x.size, -1, dtype=np.int64)
     position[index_of] = np.arange(index_of.size)
-    for off, grand in _aligned_scans(initial, rescans):
+    db = initial.bin_width_hz
+    for grand in rescans:
+        if grand.bin_width_hz != db:
+            raise DataError("rescan bin width differs from initial scan")
+        off = (grand.rf_start_hz - initial.rf_start_hz) / db
+        if abs(off - round(off)) > 1e-6:
+            raise DataError("rescan grid not aligned to the initial lattice")
         sub = np.flatnonzero(_included(grand))
-        idx = sub + off
+        idx = sub + int(round(off))
         inside = (idx >= 0) & (idx < position.size)
         rows = position[idx[inside]]
         hit = rows >= 0
@@ -118,14 +112,15 @@ def _coefficients(initial, rescans):
     return a, b, index_of
 
 
-def _log_means(a, b, grid, starts, sizes):
+def _log_means(a, b, grid, sizes):
     """ln of the mean update over groups of bins, for every coupling.
 
-    Group k is the run of bins starting at starts[k] with sizes[k] bins;
-    returns a (groups, couplings) array.  Works one coupling at a time: a
-    couplings x bins matrix would cost tens of MB on a full campaign.
+    Group k is the next run of sizes[k] bins; returns a (groups, couplings)
+    array.  Works one coupling at a time: a couplings x bins matrix would
+    cost tens of MB on a full campaign.
     """
-    out = np.empty((starts.size, len(grid)))
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((sizes.size, len(grid)))
     for j, g in enumerate(grid):
         G = g * g
         log_u = G * a - G * G * b
@@ -139,13 +134,7 @@ def _log_means(a, b, grid, starts, sizes):
 
 def _aggregate(a, b, grid):
     """Aggregate U(g) over all included bins, one value per coupling."""
-    return np.exp(_log_means(a, b, grid, np.zeros(1, dtype=np.intp), np.array([a.size]))[0])
-
-
-def aggregate_update(initial, rescans=(), *, g=1.0):
-    """Scalar aggregate U(g) for one coupling."""
-    a, b, _ = _coefficients(initial, rescans)
-    return float(_aggregate(a, b, [g])[0])
+    return np.exp(_log_means(a, b, grid, np.array([a.size]))[0])
 
 
 def exclusion_curve(initial, rescans=(), g_grid=None):
@@ -154,12 +143,29 @@ def exclusion_curve(initial, rescans=(), g_grid=None):
     return grid, _aggregate(a, b, grid)
 
 
-def _bracketed_root(evaluate, g_lo, g_hi, u_lo, u_hi, target, xtol):
-    """Bisection for U(g) = target on a bracketing interval."""
-    f_lo = u_lo - target
+def _check_limits(target, xtol):
+    if not 0.0 < target < 1.0:
+        raise ConfigError(f"target must be in (0, 1), got {target!r}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ConfigError(f"xtol must be finite and > 0, got {xtol!r}")
+
+
+def _last_crossings(curves, target):
+    """Per row, the last grid cell that starts on or crosses the target, or -1."""
+    d = curves - target
+    hits = (d[:, :-1] == 0.0) | ((d[:, :-1] > 0) != (d[:, 1:] > 0))
+    return np.where(hits, np.arange(hits.shape[1]), -1).max(axis=1, initial=-1)
+
+
+def _root(a, b, grid, curve, target, xtol):
+    """Bisection for U(g) = target in the curve's last crossing cell, or None."""
+    j = _last_crossings(curve[None], target)[0]
+    if j < 0:
+        return None
+    g_lo, g_hi, f_lo = grid[j], grid[j + 1], curve[j] - target
     while g_hi - g_lo > xtol:
         mid = 0.5 * (g_lo + g_hi)
-        f_mid = evaluate(mid) - target
+        f_mid = float(_aggregate(a, b, [mid])[0]) - target
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):
@@ -175,43 +181,38 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     Returns (g_star or None, grid, curve).  With multiple grid crossings
     the largest is taken, which is the conservative exclusion boundary.
     """
-    if not 0.0 < target < 1.0:
-        raise ConfigError(f"target must be in (0, 1), got {target!r}")
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ConfigError(f"xtol must be finite and > 0, got {xtol!r}")
-    grid, curve = exclusion_curve(initial, rescans, _coupling_grid(g_grid))
-    crossing = None
-    for i in range(grid.size - 1):
-        lo, hi = curve[i] - target, curve[i + 1] - target
-        if lo == 0.0 or (lo > 0) != (hi > 0):
-            crossing = i
-    if curve[-1] == target:
-        crossing = grid.size - 2
-    if crossing is None:
-        return None, grid, curve
-
+    _check_limits(target, xtol)
+    grid = _coupling_grid(g_grid)
     a, b, _ = _coefficients(initial, rescans)
-    g_star = _bracketed_root(
-        lambda g: float(_aggregate(a, b, [g])[0]),
-        grid[crossing],
-        grid[crossing + 1],
-        curve[crossing],
-        curve[crossing + 1],
-        target,
-        xtol,
-    )
-    return g_star, grid, curve
+    curve = _aggregate(a, b, grid)
+    return _root(a, b, grid, curve, target, xtol), grid, curve
 
 
-def _window_sizes(n_included, n_windows):
+def _windows(initial, index_of, n_windows):
+    """Sizes and first and last bin frequencies of the windows."""
     if n_windows < 1:
         raise ConfigError("n_windows must be >= 1")
-    if n_windows > n_included:
+    if n_windows > index_of.size:
         raise ConfigError(
-            f"n_windows = {n_windows} exceeds the {n_included} included bins"
+            f"n_windows = {n_windows} exceeds the {index_of.size} included bins"
         )
-    base, extra = divmod(n_included, n_windows)
-    return base + (np.arange(n_windows) < extra)
+    base, extra = divmod(index_of.size, n_windows)
+    sizes = base + (np.arange(n_windows) < extra)
+    ends = np.cumsum(sizes)
+    freqs = initial.frequencies[index_of]
+    return sizes, freqs[ends - sizes], freqs[ends - 1]
+
+
+def _contours(grid, surface, target):
+    """g at which each window crosses the target, NaN where it never does."""
+    contour = np.full(surface.shape[0], np.nan)
+    for i, j in enumerate(_last_crossings(surface, target)):
+        if j >= 0:
+            # log-linear interpolation within the grid cell
+            d_lo, d_hi = surface[i, j] - target, surface[i, j + 1] - target
+            frac = d_lo / (d_lo - d_hi) if d_lo != 0.0 else 0.0
+            contour[i] = grid[j] * (grid[j + 1] / grid[j]) ** frac
+    return contour
 
 
 def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, target=DEFAULT_TARGET):
@@ -225,29 +226,9 @@ def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, tar
     """
     grid = _coupling_grid(g_grid)
     a, b, index_of = _coefficients(initial, rescans)
-    sizes = _window_sizes(index_of.size, n_windows)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    freqs = initial.frequencies
-    lo = freqs[index_of[starts]]
-    hi = freqs[index_of[ends - 1]]
-
-    surface = np.exp(_log_means(a, b, grid, starts, sizes))
-
-    # a window's contour is its last grid cell that starts on or crosses the target
-    d = surface - target
-    d_lo, d_hi = d[:, :-1], d[:, 1:]
-    hits = (d_lo == 0.0) | ((d_lo > 0) != (d_hi > 0))
-    contour = np.full(n_windows, np.nan)
-    for i in np.flatnonzero(hits.any(axis=1)):
-        j = hits.shape[1] - 1 - int(np.argmax(hits[i, ::-1]))
-        if d_lo[i, j] == 0.0:
-            contour[i] = grid[j]
-        else:
-            # log-linear interpolation within the grid cell
-            frac = d_lo[i, j] / (d_lo[i, j] - d_hi[i, j])
-            contour[i] = grid[j] * (grid[j + 1] / grid[j]) ** frac
-    return lo, hi, surface, contour
+    sizes, lo, hi = _windows(initial, index_of, n_windows)
+    surface = np.exp(_log_means(a, b, grid, sizes))
+    return lo, hi, surface, _contours(grid, surface, target)
 
 
 @dataclass
@@ -289,23 +270,27 @@ def run_exclusion(
         if not np.any(initial.valid & inband):
             raise DataError("no usable bins inside the aggregation band")
         initial = dataclasses.replace(initial, valid=initial.valid & inband)
-    g_star, grid, curve = exclusion_coupling(
-        initial, rescans, target=target, g_grid=g_grid, xtol=xtol
-    )
-    n_bins = int(np.count_nonzero(_included(initial)))
-    lo, hi, surface, contour = subaggregate_windows(
-        initial, rescans, n_windows=min(n_windows, n_bins), g_grid=grid, target=target
-    )
+    _check_limits(target, xtol)
+    grid = _coupling_grid(g_grid)
+    a, b, index_of = _coefficients(initial, rescans)
+    sizes, lo, hi = _windows(initial, index_of, min(n_windows, index_of.size))
+    log_surface = _log_means(a, b, grid, sizes)
+    # the aggregate is the size-weighted mean of the window means; the
+    # largest window term at each coupling becomes exactly 1
+    peak = log_surface.max(axis=0)
+    pooled = (sizes[:, None] * np.exp(log_surface - peak)).sum(axis=0)
+    curve = np.exp(peak + np.log(pooled / index_of.size))
+    surface = np.exp(log_surface)
     return ExclusionResult(
         g_grid=grid,
         aggregate_u=curve,
-        g_star=g_star,
+        g_star=_root(a, b, grid, curve, target, xtol),
         target=target,
-        n_bins=n_bins,
+        n_bins=int(index_of.size),
         window_lo=lo,
         window_hi=hi,
         window_surface=surface,
-        window_contour=contour,
+        window_contour=_contours(grid, surface, target),
         metadata=dict(metadata or {}),
     )
 

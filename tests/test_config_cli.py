@@ -137,6 +137,10 @@ class TestConfigResolution:
             "[rescan]\nthreshold_sigma = nan\n",
             "[cuts]\ndrift_hz_max = nan\n",
             "[cuts]\nsqueezing_db_min = -inf\n",
+            "[campaign]\nskip_windows = nan:nan\n",
+            "[campaign]\nskip_windows = 4.14e9:inf\n",
+            "[injections]\nlist = nan:1.0\n",
+            "[injections]\nlist = 4.152e9:1.0:2.0\n",
         ],
     )
     def test_cross_field_validation(self, tmp_path, body):
@@ -420,6 +424,20 @@ class TestDeterminismAndStages:
         assert read_json(out / "exclusion" / "exclusion.json") == read_json(
             out_all / "exclusion" / "exclusion.json"
         )
+
+    def test_process_drops_stale_followup(self, cli_run, tmp_path):
+        # a re-run that flags no candidates must not leave the earlier
+        # run's rescan grand spectrum for exclude to fold in
+        _, out_all = cli_run
+        out = tmp_path / "stale"
+        shutil.copytree(out_all, out)
+        assert (out / "rescans" / "grand_spectrum.dat").exists()
+        ini = write_ini(tmp_path / "quiet.ini", SMALL_INI + "[rescan]\nthreshold_sigma = 50\n")
+        for stage in ("process", "exclude"):
+            assert run_cli(stage, "--config", ini, "--out", out) == 0
+        assert read_json(out / "rescan_candidates.json")["candidates"] == []
+        assert not (out / "rescans").exists()
+        assert read_json(out / "exclusion" / "exclusion.json")["metadata"]["n_followups"] == 0
 
     def test_run_subcommand_maps_to_stage(self, cli_run, tmp_path):
         ini, _ = cli_run

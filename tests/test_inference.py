@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from haloscan import inference
 from haloscan.errors import ConfigError, DataError
 from haloscan.inference import (
-    aggregate_update,
     default_g_grid,
     exclusion_coupling,
     exclusion_curve,
@@ -174,7 +174,7 @@ class TestExclusionCurve:
         grand = make_grand(x=np.random.default_rng(8).standard_normal(256))
         grid, curve = exclusion_curve(grand, g_grid=np.geomspace(0.6, 3.0, 7))
         for g, u in zip(grid, curve):
-            assert aggregate_update(grand, g=g) == pytest.approx(u, rel=1e-12)
+            assert exclusion_curve(grand, g_grid=[g])[1][0] == pytest.approx(u, rel=1e-12)
 
     def test_bad_grid_rejected(self):
         grand = make_grand(n=50)
@@ -311,7 +311,7 @@ class TestRescanInference:
             - 0.5 * mu2**2
         )
         expected = float(np.exp(log_u).mean())
-        assert aggregate_update(initial, [rescan], g=g) == pytest.approx(
+        assert exclusion_curve(initial, [rescan], g_grid=[g])[1][0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -331,7 +331,7 @@ class TestRescanInference:
         # only the first five rescan bins land inside the initial grid
         log_u[95:] += mu2 * rescan.x[:5] - 0.5 * mu2**2
         expected = float(np.exp(log_u).mean())
-        assert aggregate_update(initial, [rescan], g=g) == pytest.approx(
+        assert exclusion_curve(initial, [rescan], g_grid=[g])[1][0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -345,7 +345,7 @@ class TestRescanInference:
         log_u = mu * initial.x - 0.5 * mu**2
         log_u[30:] += mu * rescan.x[30:] - 0.5 * mu**2
         expected = float(np.exp(log_u).mean())
-        assert aggregate_update(initial, [rescan], g=g) == pytest.approx(
+        assert exclusion_curve(initial, [rescan], g_grid=[g])[1][0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -353,13 +353,13 @@ class TestRescanInference:
         initial = make_grand(n=50)
         shifted = make_grand(n=50, rf_start=initial.rf_start_hz + 0.5 * DB)
         with pytest.raises(DataError):
-            aggregate_update(initial, [shifted])
+            exclusion_curve(initial, [shifted])
 
     def test_mismatched_bin_width_rejected(self):
         initial = make_grand(n=50)
         coarse = make_grand(n=50, bin_width_hz=2 * DB)
         with pytest.raises(DataError):
-            aggregate_update(initial, [coarse])
+            exclusion_curve(initial, [coarse])
 
 
 class TestWindows:
@@ -475,8 +475,8 @@ class TestBruteForceOracle:
         edge.valid[rng.random(400) < 0.3] = False
         return initial, [inner, edge]
 
-    @pytest.mark.parametrize("extreme", [False, True])
-    def test_curve_and_surface_agree(self, scans, extreme):
+    @staticmethod
+    def variant(scans, extreme):
         initial, rescans = scans
         if extreme:
             # a very hot patch and a high-sensitivity stretch: at large g some
@@ -485,6 +485,11 @@ class TestBruteForceOracle:
             x[700:703] = 30.0
             eta[1000:1400] = 1.4
             initial = dataclasses.replace(initial, x=x, eta_sens=eta)
+        return initial, rescans
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_curve_and_surface_agree(self, scans, extreme):
+        initial, rescans = self.variant(scans, extreme)
         grid = np.geomspace(0.5, 5.0, 60)
         n_windows = 17
         _, curve = exclusion_curve(initial, rescans, g_grid=grid)
@@ -525,6 +530,58 @@ class TestBruteForceOracle:
             else:
                 g_hi = mid
         assert g_star == 0.5 * (g_lo + g_hi)
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_run_exclusion_agrees(self, scans, extreme):
+        # the aggregate pooled from the window surface against the bin-level mean
+        initial, rescans = self.variant(scans, extreme)
+        grid = np.geomspace(0.5, 5.0, 60)
+        result = run_exclusion(initial, rescans, g_grid=grid, n_windows=17, xtol=1e-6)
+        want = np.array([oracle_mean(oracle_log_updates(initial, rescans, g)) for g in grid])
+        np.testing.assert_allclose(result.aggregate_u, want, rtol=1e-11, atol=0)
+        g_star, _, _ = exclusion_coupling(initial, rescans, g_grid=grid, xtol=1e-6)
+        assert result.g_star == g_star
+
+
+class TestSinglePass:
+    """Each entry point aligns the scans once and loops over the grid once."""
+
+    GRID = np.geomspace(0.5, 5.0, 40)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"coefficients": 0, "full_grid": 0}
+        coefficients, log_means = inference._coefficients, inference._log_means
+
+        def counted_coefficients(*args):
+            calls["coefficients"] += 1
+            return coefficients(*args)
+
+        def counted_log_means(a, b, grid, *rest):
+            # the bisection evaluates one coupling at a time
+            calls["full_grid"] += len(grid) == self.GRID.size
+            return log_means(a, b, grid, *rest)
+
+        monkeypatch.setattr(inference, "_coefficients", counted_coefficients)
+        monkeypatch.setattr(inference, "_log_means", counted_log_means)
+        return calls
+
+    @pytest.fixture
+    def scans(self):
+        rng = np.random.default_rng(41)
+        initial = make_grand(x=rng.standard_normal(400))
+        rescan = make_grand(x=rng.standard_normal(50), rf_start=initial.rf_start_hz + 100 * DB)
+        return initial, [rescan]
+
+    def test_run_exclusion(self, scans, calls):
+        result = run_exclusion(*scans, g_grid=self.GRID, n_windows=20, xtol=1e-6)
+        assert result.g_star is not None
+        assert calls == {"coefficients": 1, "full_grid": 1}
+
+    def test_exclusion_coupling(self, scans, calls):
+        g_star, _, _ = exclusion_coupling(*scans, g_grid=self.GRID, xtol=1e-6)
+        assert g_star is not None
+        assert calls == {"coefficients": 1, "full_grid": 1}
 
 
 @pytest.fixture(scope="module")

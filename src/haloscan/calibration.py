@@ -32,8 +32,6 @@ class AddedNoiseFit:
     gain_hat: float
     gain_db_hat: float
     gain_db_sigma: float
-    n_a_curve: np.ndarray
-    gain_curve: np.ndarray
     flags: tuple
 
 
@@ -41,7 +39,6 @@ class AddedNoiseFit:
 class CavityNoiseFit:
     n_c0_hat: float
     n_c0_sigma: float
-    curve: np.ndarray
     flags: tuple
 
 
@@ -51,7 +48,6 @@ class SqueezingFit:
     g_s_sigma: float
     s_hat: float
     s_sigma: float
-    s_curve: np.ndarray
     no_squeezing: bool
     flags: tuple
 
@@ -160,8 +156,6 @@ def infer_added_noise(hot, cold, t_hot_k, t_cold_k):
         gain_hat=gain_hat,
         gain_db_hat=gain_db,
         gain_db_sigma=gain_db_sigma,
-        n_a_curve=n_a_curve,
-        gain_curve=gain_curve,
         flags=tuple(flags),
     )
 
@@ -198,9 +192,7 @@ def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
         n_c0_hat = 0.0
     elif n_c0_hat < VACUUM_QUANTA:
         flags.append("nonphysical:n_c0_below_vacuum")
-    return CavityNoiseFit(
-        n_c0_hat=n_c0_hat, n_c0_sigma=n_c0_err, curve=curve, flags=tuple(flags)
-    )
+    return CavityNoiseFit(n_c0_hat=n_c0_hat, n_c0_sigma=n_c0_err, flags=tuple(flags))
 
 
 def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
@@ -251,7 +243,6 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
         g_s_sigma=s_err / eta,
         s_hat=s_hat,
         s_sigma=s_err,
-        s_curve=s_curve,
         no_squeezing=no_squeezing,
         flags=tuple(flags),
     )
@@ -323,7 +314,15 @@ def write_calibration_results(results, path):
     write_json(payload, path)
 
 
+def _field_ok(name, value):
+    if name == "flags":
+        return isinstance(value, list) and all(isinstance(f, str) for f in value)
+    kind = int if name == "step_id" else (int, float)
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def read_calibration_results(path):
+    """Read ``write_calibration_results`` output; a malformed field is a DataError."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -331,13 +330,18 @@ def read_calibration_results(path):
         raise DataError(f"cannot read calibration results: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
-    if payload.get("format") != "haloscan-calibration":
+    if not isinstance(payload, dict) or payload.get("format") != "haloscan-calibration":
         raise DataError(f"{path}: not a calibration results file")
     if payload.get("version") != 1:
         raise DataError(f"{path}: unsupported version {payload.get('version')!r}")
+    entries = payload.get("results")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"{path}: results must be a list of objects")
     results = []
-    for entry in payload["results"]:
+    for entry in entries:
+        bad = [name for name in _RESULT_FIELDS if not _field_ok(name, entry.get(name))]
+        if bad:
+            raise DataError(f"{path}: missing or malformed {', '.join(bad)} in {entry!r}")
         kwargs = {name: entry[name] for name in _RESULT_FIELDS}
-        kwargs["flags"] = tuple(kwargs["flags"])
-        results.append(CalibrationResult(**kwargs))
+        results.append(CalibrationResult(**dict(kwargs, flags=tuple(entry["flags"]))))
     return results

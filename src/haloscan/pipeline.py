@@ -37,7 +37,7 @@ from .artifacts import read_array_file, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
-from .receiver import cavity_absorption, noise_budget
+from .receiver import visibility
 
 # Kernel coverage below which a grand-spectrum bin is flagged invalid.
 MIN_SUPPORT = 0.999
@@ -107,7 +107,8 @@ class CutLog:
 
 @dataclass
 class ProcessedSpectrum:
-    """Dimensionless per-bin excess for one step, mean 0 under null."""
+    """Dimensionless per-bin excess for one step, mean 0 under null;
+    ``metadata`` is the raw spectrum's, whose ``nu_c_hz`` and ``beta`` set the weights."""
 
     step_id: int
     nu_start_hz: float
@@ -131,10 +132,6 @@ class FilterReport:
     reuse it so attenuation enters the sensitivity exactly once.
     """
 
-    if_window_bins: int
-    if_order: int
-    rf_window_bins: int
-    rf_order: int
     n_spectra: int
     t_signal: float
     wide_suppression: float
@@ -379,10 +376,6 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
     h2 = _savgol_kernel(settings.rf_window_bins, settings.rf_order)
     gamma = _lag_autocovariance(h1, h2, m)
     return FilterReport(
-        if_window_bins=settings.if_window_bins,
-        if_order=settings.if_order,
-        rf_window_bins=settings.rf_window_bins,
-        rf_order=settings.rf_order,
         n_spectra=m,
         t_signal=t_signal,
         wide_suppression=wide,
@@ -391,7 +384,7 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
     )
 
 
-def remove_structure(spectra, settings, lineshape, *, threads=1):
+def remove_structure(spectra, settings, lineshape):
     """Two-stage structure removal; returns (processed list, FilterReport).
 
     Stage 1 fits the shared IF shape on the average of the mean-normalized
@@ -400,9 +393,6 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
     the interior.  Edge bins inside half the wider filter window are
     marked invalid, with excess exactly 0, rather than edge-corrected,
     trading ~1% of band for exact interior statistics.
-
-    The reduction is single-threaded; ``threads`` is accepted for call
-    compatibility and the output does not depend on it.
     """
     if not spectra:
         raise DataError("no spectra to process; empty campaign")
@@ -420,10 +410,7 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
     avg = np.mean(normalized, axis=0)
     b1 = _savgol_interp(avg, settings.if_window_bins, settings.if_order)
 
-    centers = [
-        float(s.metadata.get("nu_c_hz") or (s.nu_start_hz + 0.5 * n_bins * db))
-        for s in spectra
-    ]
+    centers = [_step_center(s, n_bins) for s in spectra]
     report = measure_filter_transfer(
         settings, lineshape, m, n_bins, nu_ref_hz=float(np.median(centers))
     )
@@ -431,12 +418,6 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
     trim = _edge_trim(settings)
     valid_template = np.zeros(n_bins, dtype=bool)
     valid_template[trim : n_bins - trim] = True
-    provenance = {
-        "if_window_bins": settings.if_window_bins,
-        "if_order": settings.if_order,
-        "rf_window_bins": settings.rf_window_bins,
-        "rf_order": settings.rf_order,
-    }
 
     processed = [
         ProcessedSpectrum(
@@ -449,35 +430,43 @@ def remove_structure(spectra, settings, lineshape, *, threads=1):
             sigma=math.sqrt(gamma0 / s.n_averages),
             valid=valid_template.copy(),
             n_averages=s.n_averages,
-            metadata=dict(provenance, **{"nu_c_hz": s.metadata.get("nu_c_hz")}),
+            metadata=s.metadata,
         )
         for s, row in zip(spectra, normalized)
     ]
     return processed, report
 
 
+def _recorded(spectrum, key, default):
+    """A positive number recorded in a spectrum's metadata, else default."""
+    value = spectrum.metadata.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise DataError(f"step {spectrum.step_id}: {key}={value!r} is not a positive number")
+    return float(value)
+
+
+def _step_center(spectrum, n_bins):
+    """The recorded ``nu_c_hz``, else the band centre ``campaign.band_start`` implies."""
+    centre = spectrum.nu_start_hz + (n_bins // 2) * spectrum.bin_width_hz
+    return _recorded(spectrum, "nu_c_hz", centre)
+
+
 def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
     """Per-bin expected fractional excess of a g = 1 axion, from the
-    measured calibration rather than simulation truth."""
-    meta = spectrum.metadata
-    nu_c = float(meta.get("nu_c_hz", spectrum.nu_start_hz))
-    beta = float(meta.get("beta", geometry.beta))
-    g_s = max(0.0, (cal.s_hat - (1.0 - geometry.eta)) / geometry.eta)
+    measured calibration at the step's recorded nu_c_hz and beta."""
+    nu_c = _step_center(spectrum, spectrum.excess.size)
     receiver = dataclasses.replace(
         geometry,
         nu_c=nu_c,
-        beta=beta,
+        beta=_recorded(spectrum, "beta", geometry.beta),
         n_c0=max(cal.n_c0_hat, 0.25),
         n_a=cal.n_a_hat,
-        g_s=g_s,
+        g_s=max(0.0, (cal.s_hat - (1.0 - geometry.eta)) / geometry.eta),
     )
     hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=snr_ref)
     a_ref = reference_amplitude(hyp, receiver, lineshape, tau_s=tau_s)
     freqs = spectrum.nu_start_hz + np.arange(spectrum.excess.size) * spectrum.bin_width_hz
-    delta = freqs - receiver.nu_c
-    budget = noise_budget(receiver, delta)
-    absorbed = cavity_absorption(delta, receiver.kappa_l, receiver.beta)
-    return a_ref * absorbed / (spectrum.bin_width_hz * budget.total)
+    return a_ref / spectrum.bin_width_hz * visibility(receiver, hyp, freqs - nu_c)
 
 
 def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_ref=1.0):

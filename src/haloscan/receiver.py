@@ -12,6 +12,10 @@ off resonance the incident field reflects unchanged.  The delivered
 squeezing therefore sets the off-resonant noise floor while the cavity
 noise sets the on-resonant one, and overcoupling trades peak visibility
 for bandwidth.
+
+The signal visibility is the Lorentzian alpha = g^2 c / (c0 (1 + x^2) + c1)
+in x = 2 delta / kappa, with c = 4 beta / (1 + beta)^2, c0 = S N_f + N_A and
+c1 = c (N_c0 - S N_f) (Malnou et al., PRX 9, 021023 (2019)).
 """
 
 from __future__ import annotations
@@ -262,36 +266,37 @@ def noise_budget(params, detunings, hypothesis=None):
     return NoiseBudget(detunings=detunings, n_c=n_c, n_r=n_r, n_a=n_a, s_ax=s_ax)
 
 
+def _lorentzian(params, g):
+    """alpha(delta) of the module docstring, constants computed once; no checks, for quad."""
+    c = 4.0 * params.beta / (1.0 + params.beta) ** 2
+    s_nf = params.delivered * params.n_f
+    a0, c0, c1 = g**2 * c, s_nf + params.n_a, c * (params.n_c0 - s_nf)
+    kappa = params.kappa
+    return lambda delta: a0 / (c0 * (1.0 + (2.0 * delta / kappa) ** 2) + c1)
+
+
 def visibility(params, hypothesis, delta):
     """Smooth signal visibility alpha(delta) = S_ax / (N_c + N_r + N_A).
 
-    Template units (signal envelope g^2 * absorption); absolute
-    normalization cancels in every ratio this feeds.  Maximized on
-    resonance, where the cavity noise dominates the budget.
+    Evaluated as the Lorentzian g^2 c / (c0 (1 + x^2) + c1) in
+    x = 2 delta / kappa of the module docstring, the budget's ratio
+    rearranged.  Template units (signal envelope g^2 * absorption);
+    absolute normalization cancels in every ratio this feeds.  Maximized
+    on resonance, where the cavity noise dominates the budget.  A
+    non-finite detuning raises ConfigError.
     """
-    budget = noise_budget(params, delta, hypothesis)
-    alpha = budget.alpha
-    return float(alpha[0]) if np.ndim(delta) == 0 else alpha
-
-
-def _alpha_squared_integrand(params, g2):
-    s = params.delivered
-    kl, beta = params.kappa_l, params.beta
-    n_c0, n_f, n_a = params.n_c0, params.n_f, params.n_a
-
-    def integrand(delta):
-        refl = cavity_reflectance(delta, kl, beta)
-        absorbed = 1.0 - refl
-        total = n_c0 * absorbed + s * n_f * refl + n_a
-        return (g2 * absorbed / total) ** 2
-
-    return integrand
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        raise ConfigError("detunings must be finite")
+    alpha = _lorentzian(params, hypothesis.g_ksvz)(delta)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def scan_rate(params, hypothesis, window_linewidths=20.0):
     """Relative mass-scan rate: integral of alpha(delta)^2 over detuning.
 
-    The integrand is the full visibility including the flat added noise;
+    The integrand is the square of ``visibility``'s Lorentzian, including
+    the flat added noise, with its constants computed once per call;
     the result scales as g^4 and carries arbitrary (template) units, so
     only ratios between operating points are meaningful.  Integration uses
     adaptive quadrature over +/- ``window_linewidths`` loaded linewidths.
@@ -302,12 +307,11 @@ def scan_rate(params, hypothesis, window_linewidths=20.0):
         If the quadrature does not converge; the message carries the
         integrator diagnostics.
     """
-    g2 = hypothesis.g_ksvz**2
-    integrand = _alpha_squared_integrand(params, g2)
+    alpha = _lorentzian(params, hypothesis.g_ksvz)
     half_window = window_linewidths * params.kappa
-    peak = integrand(0.0)
+    peak = alpha(0.0) ** 2
     result = quad(
-        integrand,
+        lambda delta: alpha(delta) ** 2,
         -half_window,
         half_window,
         points=[0.0],

@@ -135,14 +135,16 @@ def read_calibration_set(directory):
     step_ids = {s.step_id for s in spectra.values()}
     if len(step_ids) != 1:
         raise DataError(f"calibration set {directory}: mixed step ids {sorted(step_ids)}")
-    hot = spectra["hot"]
     try:
-        t_hot = float(hot.metadata["load_temp_k"])
-        t_cold = float(spectra["cold"].metadata["load_temp_k"])
+        t_hot, t_cold = (float(spectra[r].metadata["load_temp_k"]) for r in ("hot", "cold"))
     except KeyError as exc:
         raise DataError(f"calibration set {directory}: load spectra lack load_temp_k") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"calibration set {directory}: bad load_temp_k: {exc}") from exc
+    if not all(0.0 <= t < np.inf for t in (t_hot, t_cold)):
+        raise DataError(f"calibration set {directory}: load_temp_k {t_hot!r}, {t_cold!r} invalid")
     return CalibrationSet(
-        step_id=hot.step_id,
+        step_id=spectra["hot"].step_id,
         t_hot_k=t_hot,
         t_cold_k=t_cold,
         **spectra,

@@ -83,7 +83,7 @@ def reference_processed(reference_run):
     ]
     t0 = time.monotonic()
     processed, report = remove_structure(
-        spectra, cfg.process_settings(), cfg.lineshape(), threads=4
+        spectra, cfg.process_settings(), cfg.lineshape()
     )
     elapsed = cli_elapsed + (time.monotonic() - t0)
     return {

@@ -19,7 +19,7 @@ from haloscan.config import default_config, load_config
 from haloscan.errors import ConfigError, NumericError
 from haloscan.pipeline import read_grand_spectrum, write_grand_spectrum
 from haloscan.receiver import thermal_quanta
-from haloscan.spectra import read_spectrum
+from haloscan.spectra import read_spectrum, write_spectrum
 
 # Five steps, small band; the tight RF window is required at this band
 # size, the production default follows the per-step baseline instead.
@@ -636,6 +636,49 @@ class TestFailureModes:
         assert payload["error"] == "DataError"
         assert payload["exit_code"] == 4
         assert "non-finite" in payload["message"]
+
+    @pytest.mark.parametrize("key, value", [("nu_c_hz", "4.14e9"), ("beta", "7.1")])
+    def test_non_numeric_step_metadata_exits_4(self, cli_run, tmp_path, capsys, key, value):
+        ini, out_all = cli_run
+        out = tmp_path / "meta"
+        shutil.copytree(out_all, out)
+        path = out / "spectra" / "step_00001.spec"
+        spectrum = read_spectrum(path)
+        spectrum.metadata[key] = value
+        write_spectrum(spectrum, path)
+        assert run_cli("process", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert key in payload["message"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry.pop("n_a_hat"),
+        lambda entry: entry.update(s_sigma="0.1"),
+    ], ids=["missing_n_a_hat", "string_s_sigma"])
+    def test_malformed_calibration_results_exit_4(self, cli_run, tmp_path, capsys, edit):
+        ini, out_all = cli_run
+        out = tmp_path / "cal"
+        shutil.copytree(out_all, out)
+        payload = read_json(out / "calibration_results.json")
+        edit(payload["results"][0])
+        (out / "calibration_results.json").write_text(json.dumps(payload))
+        assert run_cli("process", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert payload["exit_code"] == 4
+
+    def test_non_numeric_load_temperature_exits_4(self, cli_run, tmp_path, capsys):
+        ini, out_all = cli_run
+        out = tmp_path / "warm"
+        shutil.copytree(out_all, out)
+        path = out / "calibration" / "step_00000" / "hot.spec"
+        spectrum = read_spectrum(path)
+        spectrum.metadata["load_temp_k"] = "warm"
+        write_spectrum(spectrum, path)
+        assert run_cli("calibrate", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert "load_temp_k" in payload["message"]
 
     def test_output_path_collision_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)

@@ -399,10 +399,48 @@ class TestCombination:
             )
 
 
+class TestRecordedStepMetadata:
+    """remove_structure passes the raw metadata on, so the combine weights
+    see each step's recorded nu_c_hz and beta."""
+
+    NU_START = REF_NU - 1000 * 100.0
+
+    def den(self, geometry, lineshape, **meta):
+        raw = make_raw(n=2000, nu_start=self.NU_START, **meta)
+        processed, _ = remove_structure([raw], SMALL_BAND, lineshape)
+        cal = truth_cal(0, REF_NU, make_receiver())
+        return combine_spectra(processed, [cal], geometry, lineshape, tau_s=3600.0).den
+
+    def test_recorded_beta_sets_the_weights(self, default_lineshape):
+        geometry = make_receiver()
+        recorded = self.den(geometry, default_lineshape, nu_c_hz=REF_NU, beta=2.0)
+        configured = self.den(
+            dataclasses.replace(geometry, beta=2.0), default_lineshape, nu_c_hz=REF_NU
+        )
+        np.testing.assert_array_equal(recorded, configured)
+        nominal = self.den(geometry, default_lineshape, nu_c_hz=REF_NU, beta=7.1)
+        covered = nominal > 0
+        assert np.max(np.abs(recorded[covered] / nominal[covered] - 1.0)) > 0.1
+
+    def test_missing_nu_c_falls_back_to_band_centre(self, default_lineshape):
+        geometry = make_receiver()
+        centre = self.NU_START + 1000 * 100.0
+        np.testing.assert_array_equal(
+            self.den(geometry, default_lineshape),
+            self.den(geometry, default_lineshape, nu_c_hz=centre),
+        )
+
+    @pytest.mark.parametrize(
+        "meta", [{"nu_c_hz": "4.14e9"}, {"beta": "7.1"}, {"beta": 0.0}, {"nu_c_hz": True}]
+    )
+    def test_unusable_recorded_value_rejected(self, default_lineshape, meta):
+        with pytest.raises(DataError, match="not a positive number"):
+            self.den(make_receiver(), default_lineshape, **meta)
+
+
 class TestCoadd:
     def uncorrelated_report(self, lineshape):
         return FilterReport(
-            if_window_bins=101, if_order=4, rf_window_bins=301, rf_order=4,
             n_spectra=9, t_signal=1.0, wide_suppression=0.0,
             gamma=np.array([1.0]), kernel=canonical_kernel(REF_NU, lineshape),
         )

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from haloscan import (
     AxionHypothesis,
+    ConfigError,
     CouplingAtBoundary,
     ReceiverParams,
     cavity_absorption,
@@ -162,6 +163,39 @@ class TestNoiseBudget:
         alpha = visibility(ref_receiver, hyp, deltas)
         assert np.argmax(alpha) == 150
         assert alpha[150] > 0
+
+    @given(
+        st.floats(0.5, 30.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.06),
+        st.floats(0.5, 1.0),
+        st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_visibility_is_the_budget_ratio(self, beta, g_s, n_a, eta, linewidths):
+        # Within two loaded linewidths of resonance: farther out the
+        # budget's absorption 1 - |Gamma|^2 cancels and is itself off by
+        # about eps / absorption, already 1e-13 relative at 20 linewidths.
+        params = ReceiverParams(
+            nu_c=4.14e9, kappa_l=88.1e3, beta=beta, n_c0=0.41, n_f=0.27,
+            eta=eta, g_s=g_s, n_a=n_a,
+        )
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.3)
+        deltas = np.linspace(-2.0, 2.0, 81) * params.kappa
+        budget = noise_budget(params, deltas, hyp)
+        np.testing.assert_allclose(
+            visibility(params, hyp, deltas), budget.alpha, rtol=1e-13, atol=0.0
+        )
+        delta = linewidths * params.kappa
+        alpha = visibility(params, hyp, delta)
+        assert isinstance(alpha, float)
+        assert alpha == pytest.approx(noise_budget(params, delta, hyp).alpha[0], rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, [0.0, -math.inf]])
+    def test_visibility_rejects_non_finite_detuning(self, ref_receiver, bad):
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            visibility(ref_receiver, hyp, bad)
 
     def test_csv_columns_shape(self, ref_receiver):
         deltas = np.linspace(-1e6, 1e6, 11)

@@ -44,7 +44,7 @@ from .campaign import (
     simulate_spectrum,
     simulate_spectrum_literal,
 )
-from .config import CampaignConfig, default_config, load_config
+from .config import CampaignConfig, load_config
 from .errors import (
     ConfigError,
     CouplingAtBoundary,
@@ -56,7 +56,6 @@ from .inference import (
     ExclusionResult,
     exclusion_coupling,
     exclusion_curve,
-    prior_update,
     run_exclusion,
     subaggregate_windows,
 )
@@ -89,11 +88,12 @@ from .receiver import (
     cavity_reflectance,
     delivered_squeezing,
     noise_budget,
+    noise_total,
     optimize_coupling,
     report_enhancement,
     scan_rate,
+    squeezer_ratio,
     thermal_quanta,
-    variance_vs_phase,
     visibility,
 )
 from .spectra import (

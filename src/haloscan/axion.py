@@ -22,7 +22,7 @@ from scipy import constants
 from scipy.special import gammainc
 
 from .errors import ConfigError
-from .receiver import cavity_absorption, noise_budget
+from .receiver import cavity_absorption, visibility
 
 # Discrete kernels must capture at least this fraction of the signal power.
 MIN_KERNEL_COVERAGE = 0.999
@@ -175,10 +175,10 @@ def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
     Defined so that a g = 1 axion sitting exactly on cavity resonance,
     observed in a single spectrum of duration tau_s with the given receiver
     and no filter loss, produces a matched-filter grand-spectrum mean of
-    ``hypothesis.snr_ref``.  With per-bin visibility
-    alpha_k = A_ref u(delta_k) w_k / (total(delta_k) bin_width) and
-    radiometer sigma = 1/sqrt(bin_width tau), the matched mean is
-    sqrt(sum (alpha_k/sigma)^2), inverted here for A_ref.
+    ``hypothesis.snr_ref``.  With per-bin excess
+    A_ref alpha_1(delta_k) w_k / bin_width, alpha_1 the receiver's
+    ``visibility`` at g = 1, and radiometer sigma = 1/sqrt(bin_width tau),
+    the matched mean is sqrt(sum (excess_k/sigma)^2), inverted here for A_ref.
     """
     if not (np.isfinite(tau_s) and tau_s > 0):
         raise ConfigError(f"integration time must be > 0, got {tau_s!r}")
@@ -188,9 +188,8 @@ def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
     # center, and the kernel occupies bins at detunings k * bin_width.
     first_bin, weights = lineshape_kernel(receiver.nu_c, params, grid_origin=receiver.nu_c)
     deltas = (first_bin + np.arange(params.span_bins)) * db
-    budget = noise_budget(receiver, deltas)
-    absorbed = cavity_absorption(deltas, receiver.kappa_l, receiver.beta)
-    per_bin = absorbed * weights / (db * budget.total)
+    unit = AxionHypothesis(nu_a_hz=receiver.nu_c, g_ksvz=1.0)
+    per_bin = visibility(receiver, unit, deltas) * weights / db
     norm = math.sqrt(float(np.sum(per_bin**2)))
     if norm <= 0.0:
         raise ConfigError("degenerate reference: signal template vanishes")

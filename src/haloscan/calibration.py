@@ -22,7 +22,13 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import ConfigError, DataError
-from .receiver import VACUUM_QUANTA, cavity_reflectance, thermal_quanta
+from .receiver import (
+    VACUUM_QUANTA,
+    cavity_reflectance,
+    noise_total,
+    squeezer_ratio,
+    thermal_quanta,
+)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
     # sigma from the nominal geometry, not the measured ratio: weights must
     # be independent of the per-bin noise or the band mean picks up an
     # O(1/n) bias
-    model_q = (geometry.n_c0 * absorbed + geometry.n_f * refl + n_a) / reference
+    model_q = noise_total(refl, geometry.n_c0, 1.0, geometry.n_f, n_a) / reference
     q_sigma = model_q * math.sqrt(1.0 / meas3.n_averages + 1.0 / meas1.n_averages)
     curve = (q * reference - geometry.n_f * refl - n_a) / absorbed
     sigma = q_sigma * reference / absorbed
@@ -215,9 +221,9 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
     absorbed = 1.0 - refl
 
     rho = (meas2.psd / meas3.psd) / (1.0 + 1.0 / meas3.n_averages)
-    model3 = n_c0 * absorbed + geometry.n_f * refl + n_a
+    model3 = noise_total(refl, n_c0, 1.0, geometry.n_f, n_a)
     # nominal-model weighting for the same reason as the cavity fit
-    model2 = n_c0 * absorbed + geometry.delivered * geometry.n_f * refl + n_a
+    model2 = noise_total(refl, n_c0, geometry.delivered, geometry.n_f, n_a)
     rho_sigma = (model2 / model3) * math.sqrt(
         1.0 / meas2.n_averages + 1.0 / meas3.n_averages
     )
@@ -234,7 +240,7 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
     if s_hat < 0.0:
         flags.append("clamped:s")
         s_hat = 0.0
-    g_s_hat = (s_hat - (1.0 - eta)) / eta
+    g_s_hat = squeezer_ratio(eta, s_hat)
     if g_s_hat < 0.0:
         flags.append("clamped:g_s")
         g_s_hat = 0.0

@@ -23,7 +23,13 @@ import numpy as np
 
 from .axion import LineshapeParams, bin_signal
 from .errors import ConfigError
-from .receiver import cavity_reflectance, noise_budget, thermal_quanta
+from .receiver import (
+    cavity_reflectance,
+    noise_budget,
+    noise_total,
+    squeezer_ratio,
+    thermal_quanta,
+)
 from .spectra import CalibrationSet, RawSpectrum
 
 STREAM_SPECTRUM = 0
@@ -273,8 +279,7 @@ def draw_step_effects(
         effective = dataclasses.replace(receiver, nu_c=receiver.nu_c + sign * drift_hz)
     elif kind == "jpa_sag":
         sagged = delivered + rng.uniform(0.4, 0.7) * (1.0 - delivered)
-        g_s_eff = (sagged - (1.0 - receiver.eta)) / receiver.eta
-        effective = dataclasses.replace(receiver, g_s=g_s_eff)
+        effective = dataclasses.replace(receiver, g_s=squeezer_ratio(receiver.eta, sagged))
         squeezing_db = -10.0 * math.log10(sagged) + rng.normal(0.0, 0.1)
     elif kind == "probe":
         probe_power = rng.uniform(2.0, 5.0)
@@ -447,15 +452,13 @@ def simulate_calibration(
     freqs = nu_start + np.arange(n_bins) * db
     delta = freqs - receiver.nu_c
     refl = cavity_reflectance(delta, receiver.kappa_l, receiver.beta)
-    absorbed = 1.0 - refl
-
-    s_on = receiver.delivered
+    n_c0, n_f, n_a = receiver.n_c0, receiver.n_f, receiver.n_a
     totals = {
-        "meas1": np.full(n_bins, receiver.n_f + receiver.n_a),
-        "meas2": receiver.n_c0 * absorbed + s_on * receiver.n_f * refl + receiver.n_a,
-        "meas3": receiver.n_c0 * absorbed + receiver.n_f * refl + receiver.n_a,
-        "hot": thermal_quanta(freqs, t_hot_k) + receiver.n_a,
-        "cold": thermal_quanta(freqs, t_cold_k) + receiver.n_a,
+        "meas1": np.full(n_bins, n_f + n_a),
+        "meas2": noise_total(refl, n_c0, receiver.delivered, n_f, n_a),
+        "meas3": noise_total(refl, n_c0, 1.0, n_f, n_a),
+        "hot": thermal_quanta(freqs, t_hot_k) + n_a,
+        "cold": thermal_quanta(freqs, t_cold_k) + n_a,
     }
     role_meta = {
         "meas1": {"role": "meas1", "squeezer_on": False, "detuned": True},

@@ -20,7 +20,7 @@ from .axion import AxionHypothesis, LineshapeParams
 from .campaign import ANOMALY_TYPES, make_baseline_model, make_tuning_plan
 from .errors import ConfigError
 from .pipeline import CutCriteria, ProcessSettings
-from .receiver import ReceiverParams, thermal_quanta
+from .receiver import ReceiverParams, delivered_squeezing, thermal_quanta
 
 _NO_DEFAULT = object()
 
@@ -309,6 +309,12 @@ def _validate_cross_fields(cfg):
         raise ConfigError("inference.xtol must be finite and > 0")
     if cfg.get("campaign", "master_seed") < 0:
         raise ConfigError("campaign.master_seed must be >= 0")
+    eta, g_s = cfg.get("receiver", "eta"), cfg.get("receiver", "g_s")
+    if not delivered_squeezing(eta, g_s) > 0:
+        raise ConfigError(
+            f"receiver delivered squeezing eta * g_s + 1 - eta must be > 0, "
+            f"got eta = {eta!r}, g_s = {g_s!r}"
+        )
 
 
 def load_config(path, *, seed_override=None):
@@ -352,12 +358,3 @@ def load_config(path, *, seed_override=None):
     cfg = CampaignConfig(values=tuple(resolved))
     _validate_cross_fields(cfg)
     return cfg
-
-
-def default_config():
-    resolved = [
-        (section, key, default)
-        for section, keys in _SCHEMA.items()
-        for key, (_, default) in keys.items()
-    ]
-    return CampaignConfig(values=tuple(resolved))

@@ -34,19 +34,6 @@ DEFAULT_TARGET = 0.1
 DEFAULT_G_GRID = (0.5, 5.0, 200)
 
 
-def log_prior_update(x, mu_a):
-    """ln u for excess x and expected signal mu_a; linear in x by design."""
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu_a, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
-        raise ConfigError("prior update needs finite inputs")
-    return mu * x - 0.5 * mu**2
-
-
-def prior_update(x, mu_a):
-    return np.exp(log_prior_update(x, mu_a))
-
-
 def default_g_grid():
     lo, hi, n = DEFAULT_G_GRID
     return np.geomspace(lo, hi, n)

@@ -37,7 +37,7 @@ from .artifacts import read_array_file, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
-from .receiver import visibility
+from .receiver import squeezer_ratio, visibility
 
 # Kernel coverage below which a grand-spectrum bin is flagged invalid.
 MIN_SUPPORT = 0.999
@@ -108,6 +108,7 @@ class CutLog:
 @dataclass
 class ProcessedSpectrum:
     """Dimensionless per-bin excess for one step, mean 0 under null;
+    ``valid`` is the read-only mask every spectrum of one removal shares;
     ``metadata`` is the raw spectrum's, whose ``nu_c_hz`` and ``beta`` set the weights."""
 
     step_id: int
@@ -116,7 +117,6 @@ class ProcessedSpectrum:
     excess: np.ndarray
     sigma: float
     valid: np.ndarray
-    n_averages: int
     metadata: dict = field(default_factory=dict)
 
 
@@ -416,8 +416,9 @@ def remove_structure(spectra, settings, lineshape):
     )
     gamma0 = float(report.gamma[0])
     trim = _edge_trim(settings)
-    valid_template = np.zeros(n_bins, dtype=bool)
-    valid_template[trim : n_bins - trim] = True
+    valid = np.zeros(n_bins, dtype=bool)
+    valid[trim : n_bins - trim] = True
+    valid.flags.writeable = False
 
     processed = [
         ProcessedSpectrum(
@@ -428,8 +429,7 @@ def remove_structure(spectra, settings, lineshape):
                 row / b1, settings.rf_window_bins, settings.rf_order, trim
             ),
             sigma=math.sqrt(gamma0 / s.n_averages),
-            valid=valid_template.copy(),
-            n_averages=s.n_averages,
+            valid=valid,
             metadata=s.metadata,
         )
         for s, row in zip(spectra, normalized)
@@ -461,7 +461,7 @@ def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
         beta=_recorded(spectrum, "beta", geometry.beta),
         n_c0=max(cal.n_c0_hat, 0.25),
         n_a=cal.n_a_hat,
-        g_s=max(0.0, (cal.s_hat - (1.0 - geometry.eta)) / geometry.eta),
+        g_s=max(0.0, squeezer_ratio(geometry.eta, cal.s_hat)),
     )
     hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=snr_ref)
     a_ref = reference_amplitude(hyp, receiver, lineshape, tau_s=tau_s)

@@ -15,7 +15,10 @@ for bandwidth.
 
 The signal visibility is the Lorentzian alpha = g^2 c / (c0 (1 + x^2) + c1)
 in x = 2 delta / kappa, with c = 4 beta / (1 + beta)^2, c0 = S N_f + N_A and
-c1 = c (N_c0 - S N_f) (Malnou et al., PRX 9, 021023 (2019)).
+c1 = c (N_c0 - S N_f) (Malnou et al., PRX 9, 021023 (2019)).  This module
+is the one home of the model: the other modules call ``noise_total``,
+``delivered_squeezing``, ``squeezer_ratio`` and ``visibility`` instead of
+writing the formulas out.
 """
 
 from __future__ import annotations
@@ -78,6 +81,24 @@ def delivered_squeezing(eta, g_s):
     if not (np.isfinite(g_s) and g_s >= 0.0):
         raise ConfigError(f"squeezer variance ratio must be >= 0, got {g_s!r}")
     return eta * g_s + (1.0 - eta)
+
+
+def squeezer_ratio(eta, s):
+    """Squeezer variance ratio G_s = (S - (1 - eta)) / eta behind delivered squeezing S.
+
+    The inverse of ``delivered_squeezing``, unchecked: callers clamp the
+    result themselves.
+    """
+    return (s - (1.0 - eta)) / eta
+
+
+def noise_total(reflectance, n_c0, s, n_f, n_a):
+    """Receiver noise N_c0 (1 - |Gamma|^2) + S N_f |Gamma|^2 + N_A, quanta.
+
+    Unchecked, because calibration feeds it fitted cavity noises that may
+    be clamped to 0 or lie below vacuum, which ReceiverParams refuses.
+    """
+    return n_c0 * (1.0 - reflectance) + s * n_f * reflectance + n_a
 
 
 def cavity_reflectance(delta, kappa_l, beta):
@@ -394,22 +415,6 @@ def optimize_coupling(s, n_c0, n_f, n_a, bounds=(0.1, 100.0)):
             f"{lo:.4g}..{hi:.4g}; widen the bounds or check inputs"
         )
     return beta
-
-
-def variance_vs_phase(theta, s, g_anti):
-    """Measured quadrature variance of the squeezed field versus squeezer phase.
-
-    V(theta) = s sin^2(theta) + g_anti cos^2(theta): pi-periodic, minimum s
-    at theta = pi/2, maximum g_anti at theta = 0.  ``g_anti`` is the
-    anti-squeezed variance ratio, a free parameter (>= 1).
-    """
-    if not (np.isfinite(s) and 0.0 <= s <= 1.0):
-        raise ConfigError(f"squeezed variance ratio must be in [0, 1], got {s!r}")
-    if not (np.isfinite(g_anti) and g_anti >= 1.0):
-        raise ConfigError(f"anti-squeezed variance ratio must be >= 1, got {g_anti!r}")
-    theta = np.asarray(theta, dtype=float)
-    out = s * np.sin(theta) ** 2 + g_anti * np.cos(theta) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def report_enhancement(params_squeezed, params_unsqueezed, hypothesis):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from haloscan.cli import main
-from haloscan.config import default_config, load_config
+from haloscan.config import _SCHEMA, load_config
 from haloscan.errors import ConfigError, NumericError
 from haloscan.pipeline import read_grand_spectrum, write_grand_spectrum
 from haloscan.receiver import thermal_quanta
@@ -56,17 +56,25 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def defaults(tmp_path_factory):
+    """The configuration an empty INI resolves to."""
+    return load_config(write_ini(tmp_path_factory.mktemp("cfg") / "empty.ini", ""))
+
+
 # -- configuration --------------------------------------------------
 
 
 class TestConfigResolution:
-    def test_empty_file_fills_defaults(self, tmp_path):
-        cfg = load_config(write_ini(tmp_path / "empty.ini", ""))
-        assert cfg.values == default_config().values
-        assert cfg.hash() == default_config().hash()
+    def test_empty_file_fills_defaults(self, defaults):
+        assert defaults.values == tuple(
+            (section, key, default)
+            for section, keys in _SCHEMA.items()
+            for key, (_, default) in keys.items()
+        )
 
-    def test_default_values(self):
-        cfg = default_config()
+    def test_default_values(self, defaults):
+        cfg = defaults
         assert cfg.master_seed == 20260822
         assert cfg.get("acquisition", "n_bins") == 30000
         assert cfg.get("receiver", "beta") == 7.1
@@ -148,9 +156,9 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_get_unknown_key_raises(self):
+    def test_get_unknown_key_raises(self, defaults):
         with pytest.raises(KeyError):
-            default_config().get("receiver", "nope")
+            defaults.get("receiver", "nope")
 
 
 class TestConfigHash:
@@ -192,22 +200,23 @@ class TestConfigHash:
         )
         assert overridden.hash() == explicit.hash()
 
-    def test_canonical_text_stable(self):
-        text = default_config().canonical_text()
-        assert text == default_config().canonical_text()
+    def test_canonical_text_stable(self, tmp_path):
+        path = write_ini(tmp_path / "empty.ini", "")
+        text = load_config(path).canonical_text()
+        assert text == load_config(path).canonical_text()
         assert text.startswith("[campaign]\n")
         assert "rf_window_bins = 1001" in text
 
 
 class TestBuilders:
-    def test_receiver_sits_at_band_center(self):
-        receiver = default_config().receiver()
+    def test_receiver_sits_at_band_center(self, defaults):
+        receiver = defaults.receiver()
         assert receiver.nu_c == 0.5 * (4.100e9 + 4.178e9)
         assert receiver.beta == 7.1
         assert receiver.kappa_l == 88.1e3
 
-    def test_fridge_occupancy_defaults_to_thermal(self, tmp_path):
-        cfg = default_config()
+    def test_fridge_occupancy_defaults_to_thermal(self, tmp_path, defaults):
+        cfg = defaults
         assert cfg.n_f() == pytest.approx(
             float(thermal_quanta(cfg.band_center_hz(), 0.061)), rel=1e-12
         )
@@ -544,6 +553,20 @@ class TestFailureModes:
         assert payload["exit_code"] == 2
         assert "master_seed" in payload["message"]
         assert not (out / "spectra").exists()
+
+    @pytest.mark.parametrize("stage", ["all", "simulate", "enhancement"])
+    def test_no_delivered_vacuum_exits_2(self, tmp_path, capsys, stage):
+        """eta = 1 and g_s = 0 deliver S = 0, which no stage can model."""
+        ini = write_ini(
+            tmp_path / "s0.ini", SMALL_INI + "\n[receiver]\neta = 1\ng_s = 0\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(stage, "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert "eta * g_s + 1 - eta" in payload["message"]
+        assert not out.exists()
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)

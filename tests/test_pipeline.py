@@ -156,18 +156,22 @@ class TestFilterTransfer:
 
 
 class TestRemoveStructure:
-    def run_nine(self, baseline, plan, n_bins=4000, tau_s=3600.0):
-        receiver = make_receiver()
+    def simulate_nine(self, baseline, plan, n_bins=4000, tau_s=3600.0):
         spectra, _ = simulate_campaign(
-            plan, receiver, baseline, tau_s=tau_s, n_bins=n_bins, cal_every=100
+            plan, make_receiver(), baseline, tau_s=tau_s, n_bins=n_bins, cal_every=100
         )
+        return spectra
+
+    def run_nine(self, baseline, plan, n_bins=4000, tau_s=3600.0):
+        spectra = self.simulate_nine(baseline, plan, n_bins=n_bins, tau_s=tau_s)
         return remove_structure(spectra, SMALL_BAND, LineshapeParams())
 
     def test_null_statistics_after_removal(self, small_plan, wavy_baseline):
-        processed, report = self.run_nine(wavy_baseline, small_plan)
+        spectra = self.simulate_nine(wavy_baseline, small_plan)
+        processed, report = remove_structure(spectra, SMALL_BAND, LineshapeParams())
         gamma0 = report.gamma[0]
         pooled = np.concatenate([p.excess[p.valid] for p in processed])
-        n_avg = processed[0].n_averages
+        n_avg = spectra[0].n_averages
         assert abs(pooled.mean()) < 5.0 / math.sqrt(pooled.size * n_avg)
         assert pooled.std() == pytest.approx(
             math.sqrt(gamma0 / n_avg), rel=0.02
@@ -182,6 +186,12 @@ class TestRemoveStructure:
             assert not p.valid[:trim].any()
             assert not p.valid[-trim:].any()
             assert p.valid[trim:-trim].all()
+
+    def test_valid_mask_is_shared_and_read_only(self, small_plan, flat_baseline):
+        processed, _ = self.run_nine(flat_baseline, small_plan, n_bins=1000, tau_s=60.0)
+        assert all(p.valid is processed[0].valid for p in processed)
+        with pytest.raises(ValueError, match="read-only"):
+            processed[0].valid[0] = True
 
     def test_flat_and_wavy_agree_statistically(self, small_plan, flat_baseline,
                                                wavy_baseline):
@@ -313,7 +323,7 @@ def test_import_skips_scipy_signal_and_stats():
     assert result.stdout.strip() == "[]"
 
 
-def make_processed(step_id, nu_start, excess, sigma, n_averages=360000, nu_c=None):
+def make_processed(step_id, nu_start, excess, sigma, nu_c=None):
     n = excess.size
     return ProcessedSpectrum(
         step_id=step_id,
@@ -322,7 +332,6 @@ def make_processed(step_id, nu_start, excess, sigma, n_averages=360000, nu_c=Non
         excess=excess,
         sigma=sigma,
         valid=np.ones(n, dtype=bool),
-        n_averages=n_averages,
         metadata={"nu_c_hz": nu_c if nu_c is not None else nu_start + n * 50.0},
     )
 
@@ -361,8 +370,7 @@ class TestCombination:
         nu_start = REF_NU - 1000 * 50.0
         cal = truth_cal(0, REF_NU, receiver)
         base = make_processed(0, nu_start, np.zeros(1000), sigma=1e-3)
-        quiet = make_processed(1, nu_start, np.zeros(1000), sigma=0.5e-3,
-                               n_averages=4 * 360000)
+        quiet = make_processed(1, nu_start, np.zeros(1000), sigma=0.5e-3)
         ref = combine_spectra([base], [cal], receiver, default_lineshape, tau_s=3600.0)
         both = combine_spectra(
             [base, quiet], [cal], receiver, default_lineshape, tau_s=3600.0

@@ -25,8 +25,8 @@ from haloscan import (
     optimize_coupling,
     report_enhancement,
     scan_rate,
+    squeezer_ratio,
     thermal_quanta,
-    variance_vs_phase,
     visibility,
 )
 from conftest import make_receiver
@@ -96,6 +96,12 @@ class TestDeliveredSqueezing:
         s = delivered_squeezing(eta, g_s)
         assert min(g_s, 1.0) - 1e-12 <= s <= 1.0 + 1e-12
         assert s >= (1.0 - eta) - 1e-12
+
+    @given(st.floats(1e-3, 1.0), st.floats(0.0, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_squeezer_ratio_inverts(self, eta, g_s):
+        s = delivered_squeezing(eta, g_s)
+        assert squeezer_ratio(eta, s) == pytest.approx(g_s, rel=1e-12, abs=1e-14 / eta)
 
 
 class TestCavityResponse:
@@ -383,6 +389,16 @@ class TestScanRate:
         assert scan_rate(ref_receiver, h2) / scan_rate(ref_receiver, h1) == pytest.approx(
             16.0, rel=1e-9
         )
+
+
+def variance_vs_phase(theta, s, g_anti):
+    """Measured quadrature variance of the squeezed field versus squeezer phase.
+
+    V(theta) = s sin^2(theta) + g_anti cos^2(theta): pi-periodic, minimum s
+    at theta = pi/2, maximum g_anti at theta = 0.  ``g_anti`` is the
+    anti-squeezed variance ratio, a free parameter (>= 1).
+    """
+    return s * np.sin(theta) ** 2 + g_anti * np.cos(theta) ** 2
 
 
 class TestPhaseVariance:

@@ -42,7 +42,6 @@ from .campaign import (
     simulate_campaign,
     simulate_rescans,
     simulate_spectrum,
-    simulate_spectrum_literal,
 )
 from .config import CampaignConfig, load_config
 from .errors import (

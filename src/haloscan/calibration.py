@@ -29,6 +29,7 @@ from .receiver import (
     squeezer_ratio,
     thermal_quanta,
 )
+from .spectra import recorded
 
 
 @dataclass(frozen=True)
@@ -260,13 +261,14 @@ def run_calibration(calset, geometry, *, eta=None):
     Order matters: the load fit supplies N_A to the cavity fit, whose
     N_c0 feeds the squeezing fit.  geometry supplies the tuned beta,
     kappa_l and the ex-situ N_f and eta; its nu_c is overridden by the
-    set's recorded tuning when present.
+    set's recorded tuning when present.  A recorded nu_c_hz that is not a
+    positive number raises DataError.
     """
     if eta is None:
         eta = geometry.eta
-    nu_c = calset.meas2.metadata.get("nu_c_hz")
-    if nu_c is not None and abs(nu_c - geometry.nu_c) > calset.meas2.bin_width_hz:
-        geometry = dataclasses.replace(geometry, nu_c=float(nu_c))
+    geometry = dataclasses.replace(
+        geometry, nu_c=recorded(calset.meas2, "nu_c_hz", geometry.nu_c)
+    )
     added = infer_added_noise(calset.hot, calset.cold, calset.t_hot_k, calset.t_cold_k)
     cavity = infer_cavity_noise(calset.meas1, calset.meas3, geometry, n_a=added.n_a_hat)
     squeezing = infer_squeezing(

@@ -8,8 +8,9 @@ below.
 Statistics are simulated at the level of the averaged periodogram: an
 averaged power spectrum with ``n_averages`` segments has relative
 fluctuation 1/sqrt(n_averages) per bin, which is all the downstream
-pipeline ever sees.  ``simulate_spectrum_literal`` builds the individual
-segment traces instead and exists to validate that shortcut.
+pipeline ever sees.  The test suite keeps a segment-by-segment
+simulator that builds the individual traces, as the oracle for that
+shortcut.
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .axion import LineshapeParams, bin_signal
 from .errors import ConfigError
-from .receiver import (
-    cavity_reflectance,
-    noise_budget,
-    noise_total,
-    squeezer_ratio,
-    thermal_quanta,
-)
+from .receiver import cavity_reflectance, noise_total, squeezer_ratio, thermal_quanta
 from .spectra import CalibrationSet, RawSpectrum
 
 STREAM_SPECTRUM = 0
@@ -230,6 +225,19 @@ def band_start(step, bin_width_hz=DEFAULT_BIN_WIDTH_HZ, n_bins=DEFAULT_N_BINS):
     return step.nu_c_hz - (n_bins // 2) * bin_width_hz
 
 
+def _band(step, receiver, bin_width_hz, n_bins):
+    """(band start, bin centres, cavity reflectance at receiver.nu_c) of a step."""
+    nu_start = band_start(step, bin_width_hz, n_bins)
+    freqs = nu_start + np.arange(n_bins) * bin_width_hz
+    refl = cavity_reflectance(freqs - receiver.nu_c, receiver.kappa_l, receiver.beta)
+    return nu_start, freqs, refl
+
+
+def _n_averages(tau_s, bin_width_hz):
+    """Segments averaged over tau_s at one segment per 1 / bin_width_hz."""
+    return max(1, int(round(tau_s * bin_width_hz)))
+
+
 def hypothesis_in_band(
     step,
     hypothesis,
@@ -299,7 +307,7 @@ def simulate_spectrum(
     baseline_model,
     seed,
     *,
-    hypotheses=None,
+    hypotheses=(),
     lineshape=None,
     tau_s=DEFAULT_TAU_S,
     bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
@@ -318,24 +326,17 @@ def simulate_spectrum(
     db = float(bin_width_hz)
     ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=db)
     ls.check_bin_width(db)
-    n_averages = max(1, int(round(tau_s * db)))
-    nu_start = band_start(step, db, n_bins)
-    freqs = nu_start + np.arange(n_bins) * db
-    delta = freqs - receiver.nu_c
-    budget = noise_budget(receiver, delta)
-    total = budget.total
+    n_averages = _n_averages(tau_s, db)
+    nu_start, _, refl = _band(step, receiver, db, n_bins)
+    total = noise_total(refl, receiver.n_c0, receiver.delivered, receiver.n_f, receiver.n_a)
 
     signal = np.zeros(n_bins)
-    if hypotheses is not None:
-        hyps = hypotheses if isinstance(hypotheses, (list, tuple)) else (hypotheses,)
-        for hyp in hyps:
-            if not hypothesis_in_band(
-                step, hyp, bin_width_hz=db, n_bins=n_bins, lineshape=ls
-            ):
-                raise ConfigError(
-                    f"hypothesis at {hyp.nu_a_hz} Hz outside band of step {step.step_id}"
-                )
-            signal += bin_signal(nu_start, n_bins, hyp, receiver, ls, tau_s=tau_s)
+    for hyp in hypotheses:
+        if not hypothesis_in_band(step, hyp, bin_width_hz=db, n_bins=n_bins, lineshape=ls):
+            raise ConfigError(
+                f"hypothesis at {hyp.nu_a_hz} Hz outside band of step {step.step_id}"
+            )
+        signal += bin_signal(nu_start, n_bins, hyp, receiver, ls, tau_s=tau_s)
 
     base = baseline_model.evaluate(step.step_id, n_bins)
     psd_true = base * (total + signal)
@@ -367,62 +368,6 @@ def simulate_spectrum(
     )
 
 
-def simulate_spectrum_literal(
-    step,
-    receiver,
-    baseline_model,
-    seed,
-    *,
-    hypotheses=None,
-    lineshape=None,
-    n_segments=1000,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
-    n_bins=4096,
-):
-    """Segment-by-segment validation path for simulate_spectrum.
-
-    Builds each segment's complex baseband trace from the true PSD, takes
-    its periodogram, and averages.  Identical mean to the fast path but
-    with the exact finite-average (chi-squared) bin statistics; run at
-    reduced n_segments, it validates the 1/sqrt(n) fluctuation shortcut.
-    """
-    if n_segments < 2:
-        raise ConfigError("literal mode needs n_segments >= 2")
-    db = float(bin_width_hz)
-    ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=db)
-    ls.check_bin_width(db)
-    nu_start = band_start(step, db, n_bins)
-    freqs = nu_start + np.arange(n_bins) * db
-    delta = freqs - receiver.nu_c
-    total = noise_budget(receiver, delta).total
-    signal = np.zeros(n_bins)
-    if hypotheses is not None:
-        hyps = hypotheses if isinstance(hypotheses, (list, tuple)) else (hypotheses,)
-        for hyp in hyps:
-            signal += bin_signal(nu_start, n_bins, hyp, receiver, ls, tau_s=n_segments / db)
-    psd_true = receiver.gain * baseline_model.evaluate(step.step_id, n_bins) * (total + signal)
-
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(psd_true / 2.0)
-    acc = np.zeros(n_bins)
-    for _ in range(n_segments):
-        coeff = scale * (
-            rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-        )
-        trace = np.fft.ifft(coeff) * n_bins
-        periodogram = np.abs(np.fft.fft(trace) / n_bins) ** 2
-        acc += periodogram
-    psd = acc / n_segments
-    return RawSpectrum(
-        step_id=step.step_id,
-        nu_start_hz=nu_start,
-        bin_width_hz=db,
-        psd=psd,
-        n_averages=n_segments,
-        metadata={"beta": receiver.beta, "nu_c_hz": step.nu_c_hz, "literal_mode": True},
-    )
-
-
 def simulate_calibration(
     step,
     receiver,
@@ -447,11 +392,8 @@ def simulate_calibration(
             f"hot load must be hotter than cold load, got {t_hot_k!r} <= {t_cold_k!r}"
         )
     db = float(bin_width_hz)
-    n_averages = max(1, int(round(tau_s * db)))
-    nu_start = band_start(step, db, n_bins)
-    freqs = nu_start + np.arange(n_bins) * db
-    delta = freqs - receiver.nu_c
-    refl = cavity_reflectance(delta, receiver.kappa_l, receiver.beta)
+    n_averages = _n_averages(tau_s, db)
+    nu_start, freqs, refl = _band(step, receiver, db, n_bins)
     n_c0, n_f, n_a = receiver.n_c0, receiver.n_f, receiver.n_a
     totals = {
         "meas1": np.full(n_bins, n_f + n_a),

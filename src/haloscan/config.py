@@ -22,8 +22,6 @@ from .errors import ConfigError
 from .pipeline import CutCriteria, ProcessSettings
 from .receiver import ReceiverParams, delivered_squeezing, thermal_quanta
 
-_NO_DEFAULT = object()
-
 # section -> key -> (parser, default); parser takes the raw string.
 
 
@@ -304,6 +302,10 @@ def _validate_cross_fields(cfg):
         raise ConfigError("baseline.n_components_lo must be <= n_components_hi")
     if not 0 < cfg.get("inference", "target") < 1:
         raise ConfigError("inference.target must be in (0, 1)")
+    if cfg.get("inference", "n_windows") < 1:
+        raise ConfigError("inference.n_windows must be >= 1")
+    if not cfg.get("sensitivity", "snr_ref") > 0:
+        raise ConfigError("sensitivity.snr_ref must be > 0")
     xtol = cfg.get("inference", "xtol")
     if not (np.isfinite(xtol) and xtol > 0):
         raise ConfigError("inference.xtol must be finite and > 0")
@@ -315,6 +317,11 @@ def _validate_cross_fields(cfg):
             f"receiver delivered squeezing eta * g_s + 1 - eta must be > 0, "
             f"got eta = {eta!r}, g_s = {g_s!r}"
         )
+    # Built here as well as by the stages, so that a value these refuse
+    # stops the run before any stage writes.
+    cfg.process_settings()
+    cfg.lineshape()
+    cfg.g_grid()
 
 
 def load_config(path, *, seed_override=None):

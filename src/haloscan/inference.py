@@ -300,8 +300,8 @@ def write_exclusion_result(result, out_dir):
 
     with atomic_open(os.path.join(out_dir, "exclusion_curve.csv")) as fh:
         fh.write("g_ksvz,aggregate_u\n")
-        for g, u in zip(result.g_grid, result.aggregate_u):
-            fh.write(f"{float(g)!r},{float(u)!r}\n")
+        for g, u in zip(result.g_grid.tolist(), result.aggregate_u.tolist()):
+            fh.write(f"{g!r},{u!r}\n")
 
     with atomic_open(os.path.join(out_dir, "window_contours.csv")) as fh:
         fh.write("window_lo_hz,window_hi_hz,g_at_target\n")
@@ -310,13 +310,11 @@ def write_exclusion_result(result, out_dir):
             fh.write(f"{float(lo)!r},{float(hi)!r},{g_text}\n")
 
     with atomic_open(os.path.join(out_dir, "window_surface.csv")) as fh:
-        header = ",".join(repr(float(g)) for g in result.g_grid)
+        header = ",".join(map(repr, result.g_grid.tolist()))
         fh.write(f"window_lo_hz,window_hi_hz,{header}\n")
-        for i in range(result.window_lo.size):
-            row = ",".join(repr(float(v)) for v in result.window_surface[i])
-            fh.write(
-                f"{float(result.window_lo[i])!r},{float(result.window_hi[i])!r},{row}\n"
-            )
+        for lo, hi, row in zip(result.window_lo.tolist(), result.window_hi.tolist(),
+                               result.window_surface):
+            fh.write(f"{lo!r},{hi!r},{','.join(map(repr, row.tolist()))}\n")
 
 
 def read_exclusion_result(path):

@@ -38,6 +38,7 @@ from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
 from .receiver import squeezer_ratio, visibility
+from .spectra import recorded
 
 # Kernel coverage below which a grand-spectrum bin is flagged invalid.
 MIN_SUPPORT = 0.999
@@ -51,6 +52,15 @@ class CutCriteria:
     squeezing_db_min: float = None
     probe_power_lo: float = 0.5
     probe_power_hi: float = 1.5
+
+    def __post_init__(self):
+        if self.drift_hz_max < 0:
+            raise ConfigError(f"drift cut must be >= 0 Hz, got {self.drift_hz_max!r}")
+        if self.probe_power_lo > self.probe_power_hi:
+            raise ConfigError(
+                f"probe power cut needs lo <= hi, got {self.probe_power_lo!r} > "
+                f"{self.probe_power_hi!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -437,18 +447,10 @@ def remove_structure(spectra, settings, lineshape):
     return processed, report
 
 
-def _recorded(spectrum, key, default):
-    """A positive number recorded in a spectrum's metadata, else default."""
-    value = spectrum.metadata.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise DataError(f"step {spectrum.step_id}: {key}={value!r} is not a positive number")
-    return float(value)
-
-
 def _step_center(spectrum, n_bins):
     """The recorded ``nu_c_hz``, else the band centre ``campaign.band_start`` implies."""
     centre = spectrum.nu_start_hz + (n_bins // 2) * spectrum.bin_width_hz
-    return _recorded(spectrum, "nu_c_hz", centre)
+    return recorded(spectrum, "nu_c_hz", centre)
 
 
 def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
@@ -458,7 +460,7 @@ def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
     receiver = dataclasses.replace(
         geometry,
         nu_c=nu_c,
-        beta=_recorded(spectrum, "beta", geometry.beta),
+        beta=recorded(spectrum, "beta", geometry.beta),
         n_c0=max(cal.n_c0_hat, 0.25),
         n_a=cal.n_a_hat,
         g_s=max(0.0, squeezer_ratio(geometry.eta, cal.s_hat)),

@@ -24,7 +24,7 @@ writing the formulas out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import constants
@@ -222,9 +222,9 @@ class NoiseBudget:
     """Spectral decomposition of the receiver noise at a set of detunings.
 
     All arrays are aligned with ``detunings`` (Hz from resonance) and in
-    quanta.  ``s_ax`` is the smooth signal-delivery envelope (zero when no
-    hypothesis is attached) and ``alpha`` the resulting visibility
-    s_ax / total.
+    quanta.  ``total`` is n_c + n_r + n_a, ``s_ax`` the smooth
+    signal-delivery envelope (zero when no hypothesis is attached) and
+    ``alpha`` the resulting visibility s_ax / total, as ``noise_budget`` fills them.
     """
 
     detunings: np.ndarray
@@ -232,14 +232,8 @@ class NoiseBudget:
     n_r: np.ndarray
     n_a: np.ndarray
     s_ax: np.ndarray
-    total: np.ndarray = field(default=None)
-    alpha: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.total is None:
-            self.total = self.n_c + self.n_r + self.n_a
-        if self.alpha is None:
-            self.alpha = self.s_ax / self.total
+    total: np.ndarray
+    alpha: np.ndarray
 
     CSV_COLUMNS = ("delta_hz", "N_c", "N_r", "N_A", "S_ax", "alpha")
 
@@ -284,7 +278,11 @@ def noise_budget(params, detunings, hypothesis=None):
         s_ax = np.zeros_like(detunings)
     else:
         s_ax = hypothesis.g_ksvz**2 * absorbed
-    return NoiseBudget(detunings=detunings, n_c=n_c, n_r=n_r, n_a=n_a, s_ax=s_ax)
+    total = n_c + n_r + n_a
+    return NoiseBudget(
+        detunings=detunings, n_c=n_c, n_r=n_r, n_a=n_a, s_ax=s_ax,
+        total=total, alpha=s_ax / total,
+    )
 
 
 def _lorentzian(params, g):

@@ -89,6 +89,14 @@ class CalibrationSet:
         return {role: getattr(self, role) for role in self.ROLES}
 
 
+def recorded(spectrum, key, default):
+    """A positive number recorded in a spectrum's metadata, else default; DataError if not."""
+    value = spectrum.metadata.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        raise DataError(f"step {spectrum.step_id}: {key}={value!r} is not a positive number")
+    return float(value)
+
+
 def write_spectrum(spectrum, path):
     """Write one spectrum in the versioned array format (see ``artifacts``)."""
     core = {

@@ -207,6 +207,15 @@ class TestConfigHash:
         assert text.startswith("[campaign]\n")
         assert "rf_window_bins = 1001" in text
 
+    def test_readme_defaults_match_schema(self, tmp_path, defaults):
+        """The README's block of keys and defaults, comments stripped, is
+        the configuration an empty INI resolves to."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
+        path = write_ini(tmp_path / "readme.ini", "\n".join(l for l in lines if l) + "\n")
+        assert load_config(path).canonical_text() == defaults.canonical_text()
+
 
 class TestBuilders:
     def test_receiver_sits_at_band_center(self, defaults):
@@ -243,16 +252,11 @@ class TestBuilders:
             cfg.hypotheses()
 
     def test_coupling_grid_validation(self, tmp_path):
-        bad = load_config(
-            write_ini(tmp_path / "g.ini", "[inference]\ng_lo = 2.0\ng_hi = 1.0\n")
-        )
-        with pytest.raises(ConfigError):
-            bad.g_grid()
-        sparse = load_config(
-            write_ini(tmp_path / "p.ini", "[inference]\ng_points = 1\n")
-        )
-        with pytest.raises(ConfigError):
-            sparse.g_grid()
+        """A bad coupling grid is refused when the config loads."""
+        with pytest.raises(ConfigError, match="g_lo < g_hi"):
+            load_config(write_ini(tmp_path / "g.ini", "[inference]\ng_lo = 2.0\ng_hi = 1.0\n"))
+        with pytest.raises(ConfigError, match="g_points"):
+            load_config(write_ini(tmp_path / "p.ini", "[inference]\ng_points = 1\n"))
 
     def test_process_settings_wiring(self, tmp_path):
         cfg = load_config(write_ini(tmp_path / "w.ini", SMALL_INI))
@@ -554,6 +558,26 @@ class TestFailureModes:
         assert "master_seed" in payload["message"]
         assert not (out / "spectra").exists()
 
+    @pytest.mark.parametrize("section,settings,key", [
+        ("cuts", "probe_power_lo = 2\nprobe_power_hi = 1", "probe power"),
+        ("cuts", "drift_hz_max = -1", "drift"),
+        ("rescan", "merge_width_bins = 0", "merge width"),
+        ("inference", "g_points = 1", "g_points"),
+        ("inference", "n_windows = 0", "n_windows"),
+        ("sensitivity", "snr_ref = 0", "snr_ref"),
+    ], ids=["probe_power_inverted", "negative_drift", "zero_merge_width", "one_g_point",
+            "zero_windows", "zero_snr_ref"])
+    def test_late_stage_setting_refused_at_load(self, tmp_path, capsys, section, settings, key):
+        """Settings only a later stage reads still exit 2 before --out exists."""
+        ini = write_ini(tmp_path / "bad.ini", SMALL_INI + f"\n[{section}]\n{settings}\n")
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert key in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["all", "simulate", "enhancement"])
     def test_no_delivered_vacuum_exits_2(self, tmp_path, capsys, stage):
         """eta = 1 and g_s = 0 deliver S = 0, which no stage can model."""
@@ -702,6 +726,20 @@ class TestFailureModes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "DataError"
         assert "load_temp_k" in payload["message"]
+
+    def test_non_numeric_calibration_nu_c_exits_4(self, cli_run, tmp_path, capsys):
+        ini, out_all = cli_run
+        out = tmp_path / "tuned"
+        shutil.copytree(out_all, out)
+        path = out / "calibration" / "step_00000" / "meas2.spec"
+        spectrum = read_spectrum(path)
+        spectrum.metadata["nu_c_hz"] = "4.15e9"
+        write_spectrum(spectrum, path)
+        assert run_cli("calibrate", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert payload["exit_code"] == 4
+        assert "nu_c_hz" in payload["message"]
 
     def test_output_path_collision_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)

@@ -22,8 +22,6 @@ from .errors import ConfigError
 from .pipeline import CutCriteria, ProcessSettings
 from .receiver import ReceiverParams, delivered_squeezing, thermal_quanta
 
-# section -> key -> (parser, default); parser takes the raw string.
-
 
 def _parse_float(text):
     value = float(text)
@@ -61,6 +59,22 @@ def _parse_pairs(text):
     return tuple(out)
 
 
+def _bounded(parse, lo, hi=math.inf, open_=False):
+    """``parse``, then refuse a value outside [lo, hi], or (lo, hi) if ``open_``."""
+    if hi == math.inf:
+        domain = f"{'>' if open_ else '>='} {lo}"
+    else:
+        domain = f"in {'(' if open_ else '['}{lo}, {hi}{')' if open_ else ']'}"
+
+    def parse_bounded(text):
+        value = parse(text)
+        if not (lo < value < hi if open_ else lo <= value <= hi):
+            raise ValueError(f"must be {domain}, got {value!r}")
+        return value
+
+    return parse_bounded
+
+
 def _parse_types(text):
     """Space-separated anomaly type names, e.g. 'drift jpa_sag probe'."""
     items = tuple(text.split())
@@ -70,18 +84,21 @@ def _parse_types(text):
     return items
 
 
+# section -> key -> (parser, default).  The parser takes the raw string and
+# refuses a value outside the key's own domain; rules that join keys, or
+# that a builder's constructor owns, are checked by _validate_cross_fields.
 _SCHEMA = {
     "campaign": {
-        "lo_hz": (_parse_float, 4.100e9),
+        "lo_hz": (_bounded(_parse_float, 0, open_=True), 4.100e9),
         "hi_hz": (_parse_float, 4.178e9),
         "step_hz": (_parse_float, 85e3),
         "skip_windows": (_parse_pairs, ((4.140e9, 4.145e9),)),
-        "master_seed": (_parse_int, 20260822),
+        "master_seed": (_bounded(_parse_int, 0), 20260822),
     },
     "acquisition": {
-        "tau_s": (_parse_float, 3600.0),
-        "bin_width_hz": (_parse_float, 100.0),
-        "n_bins": (_parse_int, 30000),
+        "tau_s": (_bounded(_parse_float, 0, open_=True), 3600.0),
+        "bin_width_hz": (_bounded(_parse_float, 0, open_=True), 100.0),
+        "n_bins": (_bounded(_parse_int, 2), 30000),
     },
     "receiver": {
         "kappa_l_hz": (_parse_float, 88.1e3),
@@ -95,9 +112,9 @@ _SCHEMA = {
         "n_f": (_parse_optional_float, None),
     },
     "calibration": {
-        "cal_every": (_parse_int, 9),
+        "cal_every": (_bounded(_parse_int, 1), 9),
         "t_hot_k": (_parse_float, 0.333),
-        "t_cold_k": (_parse_float, 0.061),
+        "t_cold_k": (_bounded(_parse_float, 0), 0.061),
     },
     "baseline": {
         "n_components_lo": (_parse_int, 3),
@@ -107,14 +124,14 @@ _SCHEMA = {
         "step_excursion": (_parse_float, 0.05),
     },
     "anomalies": {
-        "rate": (_parse_float, 0.0),
+        "rate": (_bounded(_parse_float, 0, 1), 0.0),
         "types": (_parse_types, ANOMALY_TYPES),
     },
     "injections": {
         "list": (_parse_pairs, ()),
     },
     "sensitivity": {
-        "snr_ref": (_parse_float, 1.0),
+        "snr_ref": (_bounded(_parse_float, 0, open_=True), 1.0),
         "velocity_dispersion_kms": (_parse_float, 270.0),
         "span_bins": (_parse_int, 512),
     },
@@ -135,12 +152,12 @@ _SCHEMA = {
         "merge_width_bins": (_parse_int, 90),
     },
     "inference": {
-        "target": (_parse_float, 0.1),
+        "target": (_bounded(_parse_float, 0, 1, open_=True), 0.1),
         "g_lo": (_parse_float, 0.5),
         "g_hi": (_parse_float, 5.0),
-        "g_points": (_parse_int, 200),
-        "n_windows": (_parse_int, 100),
-        "xtol": (_parse_float, 1e-3),
+        "g_points": (_bounded(_parse_int, 2), 200),
+        "n_windows": (_bounded(_parse_int, 1), 100),
+        "xtol": (_bounded(_parse_float, 0, open_=True), 1e-3),
     },
     "output": {
         "directory": (_parse_str, "out"),
@@ -189,24 +206,18 @@ class CampaignConfig:
 
     # -- domain object builders ------------------------------------
 
-    def band_center_hz(self):
-        return 0.5 * (self.get("campaign", "lo_hz") + self.get("campaign", "hi_hz"))
-
-    def n_f(self):
-        override = self.get("receiver", "n_f")
-        if override is not None:
-            return override
-        return float(
-            thermal_quanta(self.band_center_hz(), self.get("receiver", "fridge_temp_k"))
-        )
-
-    def receiver(self, nu_c_hz=None):
+    def receiver(self):
+        """The receiver at the band center; n_f defaults to the fridge's thermal quanta."""
+        nu_c = 0.5 * (self.get("campaign", "lo_hz") + self.get("campaign", "hi_hz"))
+        n_f = self.get("receiver", "n_f")
+        if n_f is None:
+            n_f = float(thermal_quanta(nu_c, self.get("receiver", "fridge_temp_k")))
         return ReceiverParams(
-            nu_c=self.band_center_hz() if nu_c_hz is None else nu_c_hz,
+            nu_c=nu_c,
             kappa_l=self.get("receiver", "kappa_l_hz"),
             beta=self.get("receiver", "beta"),
             n_c0=self.get("receiver", "n_c0"),
-            n_f=self.n_f(),
+            n_f=n_f,
             eta=self.get("receiver", "eta"),
             g_s=self.get("receiver", "g_s"),
             n_a=self.get("receiver", "n_a"),
@@ -251,19 +262,9 @@ class CampaignConfig:
         half_band = (self.get("acquisition", "n_bins") // 2) * self.get("acquisition", "bin_width_hz")
         for nu, g in self.get("injections", "list"):
             if not (lo - half_band - margin <= nu <= hi + half_band + margin):
-                raise ConfigError(
-                    f"injections: {nu} Hz lies outside every simulated band"
-                )
+                raise ConfigError(f"injection at {nu} Hz lies outside every simulated band")
             out.append(AxionHypothesis(nu_a_hz=nu, g_ksvz=g, snr_ref=snr_ref))
         return tuple(out)
-
-    def cut_criteria(self):
-        return CutCriteria(
-            drift_hz_max=self.get("cuts", "drift_hz_max"),
-            squeezing_db_min=self.get("cuts", "squeezing_db_min"),
-            probe_power_lo=self.get("cuts", "probe_power_lo"),
-            probe_power_hi=self.get("cuts", "probe_power_hi"),
-        )
 
     def process_settings(self):
         return ProcessSettings(
@@ -273,55 +274,59 @@ class CampaignConfig:
             rf_order=self.get("filters", "rf_order"),
             rescan_threshold_sigma=self.get("rescan", "threshold_sigma"),
             merge_width_bins=self.get("rescan", "merge_width_bins"),
-            cuts=self.cut_criteria(),
+            cuts=CutCriteria(
+                drift_hz_max=self.get("cuts", "drift_hz_max"),
+                squeezing_db_min=self.get("cuts", "squeezing_db_min"),
+                probe_power_lo=self.get("cuts", "probe_power_lo"),
+                probe_power_hi=self.get("cuts", "probe_power_hi"),
+            ),
         )
 
     def g_grid(self):
         lo = self.get("inference", "g_lo")
         hi = self.get("inference", "g_hi")
-        n = self.get("inference", "g_points")
         if not 0 < lo < hi:
-            raise ConfigError(f"inference grid needs 0 < g_lo < g_hi, got {lo}, {hi}")
-        if n < 2:
-            raise ConfigError(f"inference.g_points must be >= 2, got {n}")
-        return np.geomspace(lo, hi, n)
+            raise ConfigError(f"coupling grid needs 0 < g_lo < g_hi, got {lo}, {hi}")
+        return np.geomspace(lo, hi, self.get("inference", "g_points"))
+
+
+# Each builder with the sections it reads.  Loading builds each once, so a
+# value its constructor refuses stops the run before any stage writes.
+_BUILDERS = (
+    ("campaign, receiver", CampaignConfig.tuning_plan),
+    ("campaign, receiver", CampaignConfig.receiver),
+    ("acquisition, sensitivity", CampaignConfig.lineshape),
+    ("campaign, baseline", CampaignConfig.baseline_model),
+    ("campaign, acquisition, injections, sensitivity", CampaignConfig.hypotheses),
+    ("cuts, filters, rescan", CampaignConfig.process_settings),
+    ("inference", CampaignConfig.g_grid),
+)
 
 
 def _validate_cross_fields(cfg):
-    if cfg.get("campaign", "lo_hz") > cfg.get("campaign", "hi_hz"):
-        raise ConfigError("campaign.lo_hz must be <= campaign.hi_hz")
-    if cfg.get("acquisition", "tau_s") <= 0:
-        raise ConfigError("acquisition.tau_s must be > 0")
-    if cfg.get("acquisition", "bin_width_hz") <= 0:
-        raise ConfigError("acquisition.bin_width_hz must be > 0")
-    if cfg.get("acquisition", "n_bins") < 2:
-        raise ConfigError("acquisition.n_bins must be >= 2")
-    if not 0 <= cfg.get("anomalies", "rate") <= 1:
-        raise ConfigError("anomalies.rate must be in [0, 1]")
+    """Rules that join two keys, then the builders' own checks."""
     if cfg.get("baseline", "n_components_lo") > cfg.get("baseline", "n_components_hi"):
         raise ConfigError("baseline.n_components_lo must be <= n_components_hi")
-    if not 0 < cfg.get("inference", "target") < 1:
-        raise ConfigError("inference.target must be in (0, 1)")
-    if cfg.get("inference", "n_windows") < 1:
-        raise ConfigError("inference.n_windows must be >= 1")
-    if not cfg.get("sensitivity", "snr_ref") > 0:
-        raise ConfigError("sensitivity.snr_ref must be > 0")
-    xtol = cfg.get("inference", "xtol")
-    if not (np.isfinite(xtol) and xtol > 0):
-        raise ConfigError("inference.xtol must be finite and > 0")
-    if cfg.get("campaign", "master_seed") < 0:
-        raise ConfigError("campaign.master_seed must be >= 0")
+    t_hot, t_cold = cfg.get("calibration", "t_hot_k"), cfg.get("calibration", "t_cold_k")
+    if not t_hot > t_cold:
+        raise ConfigError(f"calibration.t_hot_k must be > t_cold_k, got {t_hot!r} <= {t_cold!r}")
+    n_bins = cfg.get("acquisition", "n_bins")
+    for key in ("if_window_bins", "rf_window_bins"):
+        window = cfg.get("filters", key)
+        if window >= n_bins:
+            raise ConfigError(f"filters.{key} must be < acquisition.n_bins, got {window} >= {n_bins}")
+    for sections, build in _BUILDERS:
+        try:
+            build(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"[{sections}] {exc}") from exc
+    # After receiver(), which refuses eta or g_s out of its own range.
     eta, g_s = cfg.get("receiver", "eta"), cfg.get("receiver", "g_s")
     if not delivered_squeezing(eta, g_s) > 0:
         raise ConfigError(
             f"receiver delivered squeezing eta * g_s + 1 - eta must be > 0, "
             f"got eta = {eta!r}, g_s = {g_s!r}"
         )
-    # Built here as well as by the stages, so that a value these refuse
-    # stops the run before any stage writes.
-    cfg.process_settings()
-    cfg.lineshape()
-    cfg.g_grid()
 
 
 def load_config(path, *, seed_override=None):
@@ -343,25 +348,20 @@ def load_config(path, *, seed_override=None):
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
+    if seed_override is not None:
+        parser.read_dict({"campaign": {"master_seed": str(seed_override)}})
 
     resolved = []
     for section, keys in _SCHEMA.items():
         for key, (parse, default) in keys.items():
+            value = default
             if parser.has_option(section, key):
-                raw = parser.get(section, key)
                 try:
-                    value = parse(raw)
+                    value = parse(parser.get(section, key))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-            else:
-                value = default
             resolved.append((section, key, value))
 
-    if seed_override is not None:
-        resolved = [
-            (s, k, seed_override if (s, k) == ("campaign", "master_seed") else v)
-            for s, k, v in resolved
-        ]
     cfg = CampaignConfig(values=tuple(resolved))
     _validate_cross_fields(cfg)
     return cfg

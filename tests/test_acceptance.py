@@ -10,6 +10,7 @@ import glob
 import json
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -34,6 +35,7 @@ from haloscan.pipeline import (
     combine_spectra,
     process_campaign,
     process_group,
+    read_grand_spectrum,
     remove_structure,
 )
 from haloscan.receiver import (
@@ -347,6 +349,15 @@ def cfg_snr(seed):
     return _SNR_CACHE[seed]
 
 
+def read_exclusion(out):
+    """g* and the window contours (NaN where a window misses the target) of a run."""
+    with open(os.path.join(out, "exclusion", "exclusion.json")) as fh:
+        g_star = json.load(fh)["g_star"]
+    with open(os.path.join(out, "exclusion", "window_contours.csv")) as fh:
+        rows = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+    return g_star, np.array([float(text) if text else math.nan for text in rows])
+
+
 def test_08_exclusion_machinery(capsys, reference_run):
     n = 400
     eta = 0.8
@@ -364,19 +375,7 @@ def test_08_exclusion_machinery(capsys, reference_run):
     closed_err = abs(g_star - closed)
 
     out, elapsed = reference_run
-    with open(os.path.join(out, "exclusion", "exclusion.json")) as fh:
-        payload = json.load(fh)
-    campaign_g = payload["g_star"]
-    contours = []
-    lines = (
-        open(os.path.join(out, "exclusion", "window_contours.csv"))
-        .read()
-        .splitlines()[1:]
-    )
-    for line in lines:
-        text = line.split(",")[2]
-        contours.append(float(text) if text else math.nan)
-    contours = np.array(contours)
+    campaign_g, contours = read_exclusion(out)
     finite = np.isfinite(contours)
     surface_rows = (
         open(os.path.join(out, "exclusion", "window_surface.csv")).read().splitlines()
@@ -443,3 +442,32 @@ def test_09_filter_transfer(capsys, reference_processed):
         f"{100 * (1 - report.t_signal):.1f}% <= 15%), wide structure "
         f"suppressed {suppression:.0f}x, attenuation exact in eta: {eta_exact}",
     )
+
+
+@pytest.mark.slow
+def test_paper_search(tmp_path):
+    """The schema defaults are the paper's search: no axion in 16.96-17.12
+    and 17.14-17.28 ueV/c^2 (4.100-4.178 GHz minus 4.140-4.145 GHz) for
+    couplings above 1.38 g_KSVZ."""
+    skip_lo, skip_hi = 4.140e9, 4.145e9
+    ini = tmp_path / "empty.ini"
+    ini.write_text("")
+    cfg = load_config(str(ini))
+    assert not any(skip_lo <= step.nu_c_hz <= skip_hi for step in cfg.tuning_plan().steps)
+
+    out = tmp_path / "out"
+    try:
+        assert main(["all", "--config", str(ini), "--out", str(out)]) == 0
+        g_star, contours = read_exclusion(out)
+        grand = read_grand_spectrum(os.path.join(out, "grand_spectrum.dat"))
+    finally:
+        shutil.rmtree(out, ignore_errors=True)  # about 370 MB of artifacts
+
+    assert abs(g_star - 1.38) <= 0.05
+    assert contours.size == 100
+    assert np.nanmin(contours) <= g_star <= np.nanmax(contours)
+    freqs = grand.frequencies
+    included = freqs[grand.valid & (freqs >= cfg.get("campaign", "lo_hz"))
+                     & (freqs <= cfg.get("campaign", "hi_hz"))]
+    widest = int(np.argmax(np.diff(included)))
+    assert skip_lo <= included[widest] and included[widest + 1] <= skip_hi

@@ -1,5 +1,6 @@
 """Configuration resolution, provenance hashing, and the CLI driver."""
 
+import configparser
 import hashlib
 import json
 import logging
@@ -225,12 +226,12 @@ class TestBuilders:
         assert receiver.kappa_l == 88.1e3
 
     def test_fridge_occupancy_defaults_to_thermal(self, tmp_path, defaults):
-        cfg = defaults
-        assert cfg.n_f() == pytest.approx(
-            float(thermal_quanta(cfg.band_center_hz(), 0.061)), rel=1e-12
+        receiver = defaults.receiver()
+        assert receiver.n_f == pytest.approx(
+            float(thermal_quanta(receiver.nu_c, 0.061)), rel=1e-12
         )
         fixed = load_config(write_ini(tmp_path / "n.ini", "[receiver]\nn_f = 0.3\n"))
-        assert fixed.n_f() == 0.3
+        assert fixed.receiver().n_f == 0.3
 
     def test_injection_wiring(self, tmp_path):
         cfg = load_config(
@@ -245,11 +246,8 @@ class TestBuilders:
         assert hyp.snr_ref == 0.8
 
     def test_unreachable_injection_rejected(self, tmp_path):
-        cfg = load_config(
-            write_ini(tmp_path / "far.ini", "[injections]\nlist = 1.0e9:1.0\n")
-        )
         with pytest.raises(ConfigError, match="outside"):
-            cfg.hypotheses()
+            load_config(write_ini(tmp_path / "far.ini", "[injections]\nlist = 1.0e9:1.0\n"))
 
     def test_coupling_grid_validation(self, tmp_path):
         """A bad coupling grid is refused when the config loads."""
@@ -478,6 +476,72 @@ def stderr_payload(capsys):
     return json.loads(err[-1])
 
 
+# Values outside each key's domain, as set on SMALL_INI.  Every other key
+# of the schema is listed in EXEMPT_KEYS: its parser accepts any value.
+BAD_VALUES = {
+    ("campaign", "lo_hz"): ["-1"],
+    ("campaign", "hi_hz"): ["4.0e9"],
+    ("campaign", "step_hz"): ["0"],
+    ("campaign", "skip_windows"): ["4.15e9:4.14e9"],
+    ("campaign", "master_seed"): ["-1"],
+    ("acquisition", "tau_s"): ["0"],
+    ("acquisition", "bin_width_hz"): ["0"],
+    ("acquisition", "n_bins"): ["1", "200"],  # 200 is below rf_window_bins = 301
+    ("receiver", "kappa_l_hz"): ["-5"],
+    ("receiver", "beta"): ["0"],
+    ("receiver", "eta"): ["1.5"],
+    ("receiver", "g_s"): ["-1"],
+    ("receiver", "n_c0"): ["0.1"],
+    ("receiver", "n_a"): ["-1"],
+    ("receiver", "fridge_temp_k"): ["-1"],
+    ("receiver", "n_f"): ["0.1"],
+    ("calibration", "cal_every"): ["0"],
+    ("calibration", "t_hot_k"): ["0.01"],
+    ("calibration", "t_cold_k"): ["-1"],
+    ("baseline", "n_components_lo"): ["-1"],
+    ("baseline", "n_components_hi"): ["1"],
+    ("baseline", "excursion"): ["1.5"],
+    ("baseline", "step_components_max"): ["0"],
+    ("baseline", "step_excursion"): ["1.5"],
+    ("anomalies", "rate"): ["1.5"],
+    ("anomalies", "types"): ["gremlins"],
+    ("injections", "list"): ["4.1402e9:-1", "1.0e9:1.0"],
+    ("sensitivity", "snr_ref"): ["0"],
+    ("sensitivity", "velocity_dispersion_kms"): ["0"],
+    ("sensitivity", "span_bins"): ["4"],
+    ("cuts", "drift_hz_max"): ["-1"],
+    ("cuts", "probe_power_lo"): ["2"],
+    ("cuts", "probe_power_hi"): ["0.1"],
+    ("filters", "if_window_bins"): ["100"],
+    ("filters", "if_order"): ["101"],
+    ("filters", "rf_window_bins"): ["300", "4001"],
+    ("filters", "rf_order"): ["-1"],
+    ("rescan", "threshold_sigma"): ["0"],
+    ("rescan", "merge_width_bins"): ["0"],
+    ("inference", "target"): ["1"],
+    ("inference", "g_lo"): ["-1"],
+    ("inference", "g_hi"): ["0.1"],
+    ("inference", "g_points"): ["1"],
+    ("inference", "n_windows"): ["0"],
+    ("inference", "xtol"): ["0"],
+}
+EXEMPT_KEYS = {("receiver", "gain_db"), ("cuts", "squeezing_db_min"), ("output", "directory")}
+
+
+def bad_value_cases():
+    """One case per bad value of every schema key; a key with neither a
+    bad value nor an exemption yields a case with value None, which fails."""
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if (section, key) not in EXEMPT_KEYS:
+                for value in BAD_VALUES.get((section, key), [None]):
+                    yield pytest.param(section, key, value, id=f"{section}.{key}={value}")
+
+
+def test_bad_values_name_schema_keys():
+    assert set(BAD_VALUES) | EXEMPT_KEYS <= {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
+
+
 class TestFailureModes:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run_cli(
@@ -576,6 +640,24 @@ class TestFailureModes:
         assert payload["error"] == "ConfigError"
         assert payload["exit_code"] == 2
         assert key in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", bad_value_cases())
+    def test_out_of_domain_value_exits_2_at_load(self, tmp_path, capsys, section, key, value):
+        """Every key refuses a value outside its domain before --out exists."""
+        assert value is not None, f"{section}.{key}: add a bad value or an exemption"
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(SMALL_INI)
+        parser.read_dict({section: {key: value}})
+        ini = tmp_path / "bad.ini"
+        with open(ini, "w") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert section in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["all", "simulate", "enhancement"])

@@ -18,14 +18,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
-from scipy.special import gammainc
 
 from .errors import ConfigError
-from .receiver import cavity_absorption, visibility
+from .receiver import (
+    ELEMENTARY_CHARGE,
+    PLANCK,
+    SPEED_OF_LIGHT,
+    cavity_absorption,
+    visibility,
+)
 
 # Discrete kernels must capture at least this fraction of the signal power.
 MIN_KERNEL_COVERAGE = 0.999
+
+
+def mass_uev(nu_hz):
+    """Axion rest mass h nu / e in ueV/c^2 for photon frequency nu_hz."""
+    return PLANCK * nu_hz / ELEMENTARY_CHARGE * 1e6
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class LineshapeParams:
     def energy_scale(self, nu_a):
         """Exponential scale s = nu_a <v^2> / (3 c^2), Hz."""
         v2 = (self.velocity_dispersion_kms * 1e3) ** 2
-        return nu_a * v2 / (3.0 * constants.c**2)
+        return nu_a * v2 / (3.0 * SPEED_OF_LIGHT**2)
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,16 @@ def lineshape(nu, nu_a, params):
     return float(out) if out.ndim == 0 else out
 
 
+def _gamma_cdf(x):
+    """Gamma(3/2) CDF P(3/2, x) = erf(sqrt x) - 2 sqrt(x / pi) exp(-x), x >= 0.
+
+    numpy has no erf, so ``math.erf`` runs once per point.
+    """
+    root = np.sqrt(x)
+    erf = np.fromiter(map(math.erf, root.tolist()), float, root.size)
+    return erf - (2.0 / math.sqrt(math.pi)) * root * np.exp(-x)
+
+
 def lineshape_kernel(nu_a, params, grid_origin=0.0):
     """Discrete kernel: fraction of signal power in each analysis bin.
 
@@ -143,8 +162,7 @@ def lineshape_kernel(nu_a, params, grid_origin=0.0):
     first_bin = int(math.ceil((nu_a - grid_origin) / db - 0.5))
     lower_edges = grid_origin + (first_bin + np.arange(params.span_bins + 1) - 0.5) * db
     x = np.maximum((lower_edges - nu_a) / s, 0.0)
-    cdf = gammainc(1.5, x)
-    weights = np.diff(cdf)
+    weights = np.diff(_gamma_cdf(x))
     coverage = float(weights.sum())
     if coverage < MIN_KERNEL_COVERAGE:
         raise ConfigError(

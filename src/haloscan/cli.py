@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import atomic_open, write_json
-from .axion import AxionHypothesis
+from .axion import AxionHypothesis, mass_uev
 from .calibration import (
     read_calibration_results,
     run_calibration,
@@ -316,6 +316,10 @@ def stage_exclude(cfg, ws):
             "package_version": __version__,
             "n_followups": len(followups),
             "band_hz": [band[0], band[1]],
+            "mass_window_uev": [mass_uev(band[0]), mass_uev(band[1])],
+            "skipped_mass_windows_uev": [
+                [mass_uev(lo), mass_uev(hi)] for lo, hi in cfg.get("campaign", "skip_windows")
+            ],
         },
     )
     write_exclusion_result(result, ws.exclusion_dir)

@@ -108,7 +108,7 @@ _SCHEMA = {
         "n_c0": (_parse_float, 0.41),
         "n_a": (_parse_float, 0.03),
         "gain_db": (_parse_float, 60.0),
-        "fridge_temp_k": (_parse_float, 0.061),
+        "fridge_temp_k": (_bounded(_parse_float, 0), 0.061),
         "n_f": (_parse_optional_float, None),
     },
     "calibration": {
@@ -305,6 +305,9 @@ _BUILDERS = (
 
 def _validate_cross_fields(cfg):
     """Rules that join two keys, then the builders' own checks."""
+    lo, hi = cfg.get("campaign", "lo_hz"), cfg.get("campaign", "hi_hz")
+    if not hi > lo:
+        raise ConfigError(f"campaign.hi_hz must be > lo_hz, got {hi!r} <= {lo!r}")
     if cfg.get("baseline", "n_components_lo") > cfg.get("baseline", "n_components_hi"):
         raise ConfigError("baseline.n_components_lo must be <= n_components_hi")
     t_hot, t_cold = cfg.get("calibration", "t_hot_k"), cfg.get("calibration", "t_cold_k")

@@ -16,8 +16,8 @@ class ConfigError(HaloscanError):
 class NumericError(HaloscanError):
     """A numerical routine failed to converge or hit a degenerate regime.
 
-    The message carries diagnostics (integrand values, bracket state)
-    rather than a bare failure flag.
+    The message carries the offending values rather than a bare failure
+    flag.
     """
 
 

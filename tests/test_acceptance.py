@@ -459,11 +459,17 @@ def test_paper_search(tmp_path):
     try:
         assert main(["all", "--config", str(ini), "--out", str(out)]) == 0
         g_star, contours = read_exclusion(out)
+        with open(os.path.join(out, "exclusion", "exclusion.json")) as fh:
+            metadata = json.load(fh)["metadata"]
         grand = read_grand_spectrum(os.path.join(out, "grand_spectrum.dat"))
     finally:
         shutil.rmtree(out, ignore_errors=True)  # about 370 MB of artifacts
 
     assert abs(g_star - 1.38) <= 0.05
+    assert [round(m, 2) for m in metadata["mass_window_uev"]] == [16.96, 17.28]
+    assert [[round(m, 2) for m in w] for w in metadata["skipped_mass_windows_uev"]] == [
+        [17.12, 17.14]
+    ]
     assert contours.size == 100
     assert np.nanmin(contours) <= g_star <= np.nanmax(contours)
     freqs = grand.frequencies

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from haloscan import (
     AxionHypothesis,
@@ -16,6 +19,7 @@ from haloscan import (
     lineshape_kernel,
     reference_amplitude,
 )
+from haloscan.axion import mass_uev
 from conftest import make_receiver
 
 NU_A = 4.14e9
@@ -27,6 +31,12 @@ def test_energy_scale_value():
     expected = NU_A * (270e3 / C_M_S) ** 2 / 3.0
     assert params.energy_scale(NU_A) == pytest.approx(expected, rel=1e-12)
     assert 1000.0 < expected < 1300.0  # about 1.1 kHz at 4 GHz
+
+
+def test_mass_from_frequency():
+    # h / e = 4.135667696...e-15 eV s, exact in the 2019 SI
+    assert mass_uev(4.14e9) == pytest.approx(4.14e9 * 4.135667696923859e-15 * 1e6, rel=1e-15)
+    assert 16.9 < mass_uev(4.1e9) < 17.0
 
 
 def test_density_normalized():
@@ -47,7 +57,7 @@ def test_density_one_sided_with_interior_peak():
 
 
 def test_kernel_matches_direct_quadrature():
-    """Dual route: the gammainc bin weights against brute-force integration
+    """Dual route: the closed-form bin weights against brute-force integration
     of the density over the same bin edges."""
     params = LineshapeParams(span_bins=256)
     first, weights = lineshape_kernel(NU_A, params, grid_origin=4.1399e9)
@@ -56,6 +66,21 @@ def test_kernel_matches_direct_quadrature():
         lo = 4.1399e9 + (first + k - 0.5) * db
         val, _ = quad(lambda nu: lineshape(nu, NU_A, params), lo, lo + db)
         assert weights[k] == pytest.approx(val, abs=1e-12)
+
+
+@given(
+    st.floats(1e9, 6e9), st.floats(-1.0, 1.0), st.floats(100.0, 300.0),
+    st.sampled_from([50.0, 100.0]), st.integers(512, 1024),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_gammainc_oracle(nu_a, offset_bins, dispersion, db, span):
+    """The erf form of the Gamma(3/2) CDF against scipy's regularized gammainc."""
+    params = LineshapeParams(velocity_dispersion_kms=dispersion, bin_width_hz=db, span_bins=span)
+    origin = nu_a + offset_bins * db
+    first, weights = lineshape_kernel(nu_a, params, grid_origin=origin)
+    edges = origin + (first + np.arange(span + 1) - 0.5) * db
+    x = np.maximum((edges - nu_a) / params.energy_scale(nu_a), 0.0)
+    np.testing.assert_allclose(weights, np.diff(gammainc(1.5, x)), rtol=0, atol=1e-14)
 
 
 def test_kernel_covers_and_never_exceeds_unity():

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from haloscan.axion import mass_uev
 from haloscan.cli import main
 from haloscan.config import _SCHEMA, load_config
 from haloscan.errors import ConfigError, NumericError
@@ -369,6 +370,22 @@ class TestPipelineViaCli:
         assert (out / "exclusion" / "window_contours.csv").exists()
         assert (out / "exclusion" / "window_surface.csv").exists()
 
+    def test_exclusion_states_mass_window(self, cli_run):
+        """The band and skip windows as axion masses h nu / e, ueV/c^2."""
+        _, out = cli_run
+        metadata = read_json(out / "exclusion" / "exclusion.json")["metadata"]
+        assert metadata["mass_window_uev"] == [mass_uev(4.1400e9), mass_uev(4.140360e9)]
+        assert metadata["skipped_mass_windows_uev"] == []
+
+    def test_default_band_is_the_papers_mass_window(self, tmp_path):
+        """16.956-17.279 ueV/c^2 with 17.122-17.142 skipped: the abstract's
+        16.96-17.12 and 17.14-17.28 ueV/c^2."""
+        cfg = load_config(write_ini(tmp_path / "empty.ini", ""))
+        band = [cfg.get("campaign", "lo_hz"), cfg.get("campaign", "hi_hz")]
+        assert [round(mass_uev(nu), 3) for nu in band] == [16.956, 17.279]
+        skipped = [[round(mass_uev(nu), 3) for nu in w] for w in cfg.get("campaign", "skip_windows")]
+        assert skipped == [[17.122, 17.142]]
+
     def test_budget_tables(self, cli_run):
         _, out = cli_run
         for name in ("budget.csv", "budget_unsqueezed.csv"):
@@ -480,7 +497,7 @@ def stderr_payload(capsys):
 # of the schema is listed in EXEMPT_KEYS: its parser accepts any value.
 BAD_VALUES = {
     ("campaign", "lo_hz"): ["-1"],
-    ("campaign", "hi_hz"): ["4.0e9"],
+    ("campaign", "hi_hz"): ["4.0e9", "4.1400e9"],  # 4.1400e9 is lo_hz: a one-point band
     ("campaign", "step_hz"): ["0"],
     ("campaign", "skip_windows"): ["4.15e9:4.14e9"],
     ("campaign", "master_seed"): ["-1"],
@@ -658,6 +675,33 @@ class TestFailureModes:
         assert payload["error"] == "ConfigError"
         assert payload["exit_code"] == 2
         assert section in payload["message"]
+        assert not out.exists()
+
+    def test_one_point_band_exits_2_at_load(self, tmp_path, capsys):
+        """lo_hz == hi_hz is refused at load, naming both keys, rather than
+        after three stages have written, when exclude needs lo < hi."""
+        ini = write_ini(
+            tmp_path / "one.ini", SMALL_INI.replace("hi_hz = 4.140360e9", "hi_hz = 4.1400e9")
+        )
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "campaign.hi_hz" in payload["message"]
+        assert "lo_hz" in payload["message"]
+        assert not out.exists()
+
+    def test_negative_fridge_temperature_exits_2_with_n_f_set(self, tmp_path, capsys):
+        """fridge_temp_k is checked by its parser, so an explicit n_f, which
+        receiver() uses in place of the fridge's thermal quanta, does not hide it."""
+        ini = write_ini(
+            tmp_path / "t.ini", SMALL_INI + "\n[receiver]\nn_f = 0.3\nfridge_temp_k = -1\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "receiver.fridge_temp_k" in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["all", "simulate", "enhancement"])

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from haloscan import (
     AxionHypothesis,
     ConfigError,
     CouplingAtBoundary,
+    NumericError,
     ReceiverParams,
     cavity_absorption,
     cavity_reflectance,
@@ -37,6 +39,18 @@ THERMAL_333MK = 0.8627091370285994
 
 # ((beta-1)/(beta+1))^2 at beta = 7.1
 REFL_71 = 0.5671391556165218
+
+
+def quad_rate(params, hypothesis, window_linewidths=20.0):
+    """Oracle for scan_rate: adaptive quadrature of visibility^2 over the window."""
+    half_window = window_linewidths * params.kappa
+    peak = visibility(params, hypothesis, 0.0) ** 2
+    value, _ = quad(
+        lambda delta: visibility(params, hypothesis, delta) ** 2,
+        -half_window, half_window, points=[0.0], limit=200,
+        epsabs=1e-14 * peak * params.kappa, epsrel=1e-13,
+    )
+    return value
 
 
 class TestThermalQuanta:
@@ -309,21 +323,20 @@ class TestClosedFormOptimum:
         assert 0 < k < grid.size - 1
         assert grid[k] == pytest.approx(beta, rel=2e-3)
 
-    def test_report_makes_two_quadratures(self, ref_receiver, unsqueezed_receiver, monkeypatch):
-        import haloscan.receiver as receiver
-
-        calls = []
-        real_quad = receiver.quad
-
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return real_quad(*args, **kwargs)
-
-        monkeypatch.setattr(receiver, "quad", counting_quad)
-        report_enhancement(
-            ref_receiver, unsqueezed_receiver, AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
-        )
-        assert len(calls) == 2
+    @given(
+        st.floats(0.5, 1.0), st.floats(0.1, 1.0), st.floats(0.25, 1.0), st.floats(0.0, 0.1)
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_report_matches_quadrature_oracle(self, eta, g_s, n_c0, n_a):
+        """rate_ratio against quadrature of visibility^2 at the reported couplings."""
+        squeezed = make_receiver(beta=1.0, eta=eta, g_s=g_s, n_c0=n_c0, n_a=n_a)
+        unsqueezed = dataclasses.replace(squeezed, g_s=1.0)
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
+        rep = report_enhancement(squeezed, unsqueezed, hyp)
+        oracle = quad_rate(
+            dataclasses.replace(squeezed, beta=rep["beta_squeezed"]), hyp
+        ) / quad_rate(dataclasses.replace(unsqueezed, beta=rep["beta_unsqueezed"]), hyp)
+        assert rep["rate_ratio"] == pytest.approx(oracle, rel=1e-9)
 
     def test_no_squeezed_noise_has_no_optimum(self):
         with pytest.raises(CouplingAtBoundary):
@@ -359,6 +372,35 @@ class TestScanRate:
         assert rates[2.8] / rates[2.0] == pytest.approx(
             analytic(2.8) / analytic(2.0), rel=1e-6
         )
+
+    @given(
+        st.floats(0.5, 50.0), st.floats(0.25, 1.5), st.floats(0.3, 1.0), st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5), st.floats(1e3, 1e6), st.floats(0.1, 3.0), st.floats(0.5, 50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_quadrature_oracle(
+        self, beta, n_c0, eta, g_s, n_a, kappa_l, g, window
+    ):
+        params = ReceiverParams(
+            nu_c=4.14e9, kappa_l=kappa_l, beta=beta, n_c0=n_c0, n_f=THERMAL_61MK,
+            eta=eta, g_s=g_s, n_a=n_a,
+        )
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=g)
+        assert scan_rate(params, hyp, window) == pytest.approx(
+            quad_rate(params, hyp, window), rel=1e-9
+        )
+
+    def test_flat_visibility_limit(self):
+        """S N_f + N_A = 0 leaves alpha flat in detuning: the t -> 0 limit."""
+        params = make_receiver(eta=1.0, g_s=0.0, n_a=0.0)
+        hyp = AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0)
+        flat = visibility(params, hyp, 0.0) ** 2 * 40.0 * params.kappa
+        assert scan_rate(params, hyp) == pytest.approx(flat, rel=1e-14)
+        assert scan_rate(params, hyp) == pytest.approx(quad_rate(params, hyp), rel=1e-9)
+
+    def test_negative_window_raises(self, ref_receiver):
+        with pytest.raises(NumericError):
+            scan_rate(ref_receiver, AxionHypothesis(nu_a_hz=4.14e9, g_ksvz=1.0), -1.0)
 
     def test_enhancement_at_paper_operating_points(self, ref_receiver, unsqueezed_receiver):
         # acceptance 4: squeezed beta=7.1 vs unsqueezed beta=2.8

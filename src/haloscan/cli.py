@@ -156,8 +156,6 @@ def _write_spectra(cfg, spectra, directory):
 
 def stage_simulate(cfg, ws):
     plan = cfg.tuning_plan()
-    if plan.n_steps == 0:
-        raise ConfigError("tuning plan is empty; nothing to simulate")
     log.info("simulating %d steps", plan.n_steps)
     spectra, calsets = simulate_campaign(
         plan,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axion import AxionHypothesis, LineshapeParams
-from .campaign import ANOMALY_TYPES, make_baseline_model, make_tuning_plan
+from .campaign import ANOMALY_TYPES, hypothesis_in_band, make_baseline_model, make_tuning_plan
 from .errors import ConfigError
 from .pipeline import CutCriteria, ProcessSettings
 from .receiver import ReceiverParams, delivered_squeezing, thermal_quanta
@@ -232,7 +232,7 @@ class CampaignConfig:
         )
 
     def tuning_plan(self):
-        return make_tuning_plan(
+        plan = make_tuning_plan(
             self.get("campaign", "lo_hz"),
             self.get("campaign", "hi_hz"),
             self.get("campaign", "step_hz"),
@@ -240,6 +240,9 @@ class CampaignConfig:
             beta=self.get("receiver", "beta"),
             master_seed=self.master_seed,
         )
+        if plan.n_steps == 0:
+            raise ConfigError("the skip windows leave no tuning step; nothing to simulate")
+        return plan
 
     def baseline_model(self):
         return make_baseline_model(
@@ -254,16 +257,21 @@ class CampaignConfig:
         )
 
     def hypotheses(self):
+        """The injections, each refused unless some tuning step's band holds it."""
         snr_ref = self.get("sensitivity", "snr_ref")
+        injections = self.get("injections", "list")
+        steps = self.tuning_plan().steps if injections else ()
+        grid = {
+            "bin_width_hz": self.get("acquisition", "bin_width_hz"),
+            "n_bins": self.get("acquisition", "n_bins"),
+            "lineshape": self.lineshape(),
+        }
         out = []
-        lo = self.get("campaign", "lo_hz")
-        hi = self.get("campaign", "hi_hz")
-        margin = self.get("sensitivity", "span_bins") * self.get("acquisition", "bin_width_hz")
-        half_band = (self.get("acquisition", "n_bins") // 2) * self.get("acquisition", "bin_width_hz")
-        for nu, g in self.get("injections", "list"):
-            if not (lo - half_band - margin <= nu <= hi + half_band + margin):
-                raise ConfigError(f"injection at {nu} Hz lies outside every simulated band")
-            out.append(AxionHypothesis(nu_a_hz=nu, g_ksvz=g, snr_ref=snr_ref))
+        for nu, g in injections:
+            hyp = AxionHypothesis(nu_a_hz=nu, g_ksvz=g, snr_ref=snr_ref)
+            if not any(hypothesis_in_band(step, hyp, **grid) for step in steps):
+                raise ConfigError(f"injection at {nu} Hz lies outside every tuning step's band")
+            out.append(hyp)
         return tuple(out)
 
     def process_settings(self):

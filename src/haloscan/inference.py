@@ -15,6 +15,8 @@ coupling a vectorised log-mean-exp over the n_windows windows, shifted by
 each window's largest ln U.  The aggregate curve is the size-weighted pool
 of the window means, the bisection for g* reuses (a, b), and g* and the
 window contours take their grid cell from one last-crossing rule.
+exclusion_curve, exclusion_coupling and subaggregate_windows each return
+part of one run_exclusion call; the first two pool a single window.
 """
 
 from __future__ import annotations
@@ -119,17 +121,6 @@ def _log_means(a, b, grid, sizes):
     return out
 
 
-def _aggregate(a, b, grid):
-    """Aggregate U(g) over all included bins, one value per coupling."""
-    return np.exp(_log_means(a, b, grid, np.array([a.size]))[0])
-
-
-def exclusion_curve(initial, rescans=(), g_grid=None):
-    grid = _coupling_grid(g_grid)
-    a, b, _ = _coefficients(initial, rescans)
-    return grid, _aggregate(a, b, grid)
-
-
 def _check_limits(target, xtol):
     if not 0.0 < target < 1.0:
         raise ConfigError(f"target must be in (0, 1), got {target!r}")
@@ -152,7 +143,7 @@ def _root(a, b, grid, curve, target, xtol):
     g_lo, g_hi, f_lo = grid[j], grid[j + 1], curve[j] - target
     while g_hi - g_lo > xtol:
         mid = 0.5 * (g_lo + g_hi)
-        f_mid = float(_aggregate(a, b, [mid])[0]) - target
+        f_mid = float(np.exp(_log_means(a, b, [mid], np.array([a.size]))[0])[0]) - target
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):
@@ -160,19 +151,6 @@ def _root(a, b, grid, curve, target, xtol):
         else:
             g_hi = mid
     return 0.5 * (g_lo + g_hi)
-
-
-def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=None, xtol=1e-3):
-    """Coupling where the aggregate update falls to the target.
-
-    Returns (g_star or None, grid, curve).  With multiple grid crossings
-    the largest is taken, which is the conservative exclusion boundary.
-    """
-    _check_limits(target, xtol)
-    grid = _coupling_grid(g_grid)
-    a, b, _ = _coefficients(initial, rescans)
-    curve = _aggregate(a, b, grid)
-    return _root(a, b, grid, curve, target, xtol), grid, curve
 
 
 def _windows(initial, index_of, n_windows):
@@ -200,22 +178,6 @@ def _contours(grid, surface, target):
             frac = d_lo / (d_lo - d_hi) if d_lo != 0.0 else 0.0
             contour[i] = grid[j] * (grid[j + 1] / grid[j]) ** frac
     return contour
-
-
-def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, target=DEFAULT_TARGET):
-    """Per-window aggregate surface U_s plus the window 10% contours.
-
-    Included bins are split, in frequency order, into n_windows
-    contiguous groups with the remainder spread over the first groups.
-    Returns (window_lo, window_hi, surface, contour) where surface is
-    n_windows x len(g_grid) and contour holds the g at which each window
-    crosses the target (NaN where it never does).
-    """
-    grid = _coupling_grid(g_grid)
-    a, b, index_of = _coefficients(initial, rescans)
-    sizes, lo, hi = _windows(initial, index_of, n_windows)
-    surface = np.exp(_log_means(a, b, grid, sizes))
-    return lo, hi, surface, _contours(grid, surface, target)
 
 
 @dataclass
@@ -260,7 +222,7 @@ def run_exclusion(
     _check_limits(target, xtol)
     grid = _coupling_grid(g_grid)
     a, b, index_of = _coefficients(initial, rescans)
-    sizes, lo, hi = _windows(initial, index_of, min(n_windows, index_of.size))
+    sizes, lo, hi = _windows(initial, index_of, n_windows)
     log_surface = _log_means(a, b, grid, sizes)
     # the aggregate is the size-weighted mean of the window means; the
     # largest window term at each coupling becomes exactly 1
@@ -280,6 +242,35 @@ def run_exclusion(
         window_contour=_contours(grid, surface, target),
         metadata=dict(metadata or {}),
     )
+
+
+def exclusion_curve(initial, rescans=(), g_grid=None):
+    """(grid, aggregate U(g)) over all included bins."""
+    result = run_exclusion(initial, rescans, g_grid=g_grid, n_windows=1)
+    return result.g_grid, result.aggregate_u
+
+
+def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=None, xtol=1e-3):
+    """Coupling where the aggregate update falls to the target.
+
+    Returns (g_star or None, grid, curve).  With multiple grid crossings
+    the largest is taken, which is the conservative exclusion boundary.
+    """
+    result = run_exclusion(initial, rescans, target=target, g_grid=g_grid, n_windows=1, xtol=xtol)
+    return result.g_star, result.g_grid, result.aggregate_u
+
+
+def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, target=DEFAULT_TARGET):
+    """Per-window aggregate surface U_s plus the window 10% contours.
+
+    Included bins are split, in frequency order, into n_windows
+    contiguous groups with the remainder spread over the first groups.
+    Returns (window_lo, window_hi, surface, contour) where surface is
+    n_windows x len(g_grid) and contour holds the g at which each window
+    crosses the target (NaN where it never does).
+    """
+    result = run_exclusion(initial, rescans, target=target, g_grid=g_grid, n_windows=n_windows)
+    return result.window_lo, result.window_hi, result.window_surface, result.window_contour
 
 
 def write_exclusion_result(result, out_dir):

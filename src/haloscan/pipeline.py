@@ -412,18 +412,15 @@ def remove_structure(spectra, settings, lineshape):
         if s.n_bins != n_bins or s.bin_width_hz != db:
             raise DataError("spectra disagree on the IF grid")
     lineshape.check_bin_width(db)
-    if settings.rf_window_bins >= n_bins or settings.if_window_bins >= n_bins:
-        raise ConfigError("filter window exceeds the analysis band")
-
     m = len(spectra)
-    normalized = [s.psd / s.psd.mean() for s in spectra]
-    avg = np.mean(normalized, axis=0)
-    b1 = _savgol_interp(avg, settings.if_window_bins, settings.if_order)
-
     centers = [_step_center(s, n_bins) for s in spectra]
+    # also refuses a filter window that does not fit the band
     report = measure_filter_transfer(
         settings, lineshape, m, n_bins, nu_ref_hz=float(np.median(centers))
     )
+    normalized = [s.psd / s.psd.mean() for s in spectra]
+    avg = np.mean(normalized, axis=0)
+    b1 = _savgol_interp(avg, settings.if_window_bins, settings.if_order)
     gamma0 = float(report.gamma[0])
     trim = _edge_trim(settings)
     valid = np.zeros(n_bins, dtype=bool)
@@ -513,7 +510,12 @@ def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_r
     )
 
 
-def coadd_grand(combined, report, *, min_support=MIN_SUPPORT):
+def _valid(eta_sens, support):
+    """The grand-spectrum validity mask, for the coadd and the file reader alike."""
+    return (eta_sens > 0) & (support >= MIN_SUPPORT)
+
+
+def coadd_grand(combined, report):
     """Matched-filter coadd over the lineshape span at every RF bin.
 
     x_q = sum_k w_k num_{q+k}, standardized by the filtered-noise
@@ -522,7 +524,7 @@ def coadd_grand(combined, report, *, min_support=MIN_SUPPORT):
     The kernel comes from the filter report, so the coadd template and
     the measured attenuation refer to the same shape.  Bins whose kernel
     weight falls partly on uncovered bins keep their standardized x but
-    are flagged (support < min_support).
+    are flagged invalid (see ``_valid``).
     """
     w = report.kernel
     span = w.size
@@ -561,7 +563,7 @@ def coadd_grand(combined, report, *, min_support=MIN_SUPPORT):
         eta_sens=eta,
         n_contrib=combined.n_contrib.copy(),
         support=support,
-        valid=ok & (support >= min_support),
+        valid=_valid(eta, support),
         metadata={},
     )
 
@@ -654,7 +656,6 @@ def process_group(spectra, cal_results, geometry, lineshape, settings, *, tau_s,
 @dataclass
 class ProcessOutput:
     grand: GrandSpectrum
-    combined: CombinedSpectrum
     processed: list
     filter_report: FilterReport
     cut_log: CutLog
@@ -670,7 +671,7 @@ def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau
     kept, cut_log = apply_cuts(spectra, settings.cuts)
     if not kept:
         raise DataError("all spectra were cut; empty campaign")
-    grand, combined, processed, report = process_group(
+    grand, _, processed, report = process_group(
         kept, cal_results, geometry, lineshape, settings, tau_s=tau_s, snr_ref=snr_ref
     )
     rescans = flag_rescans(
@@ -678,7 +679,6 @@ def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau
     )
     return ProcessOutput(
         grand=grand,
-        combined=combined,
         processed=processed,
         filter_report=report,
         cut_log=cut_log,
@@ -711,6 +711,6 @@ def read_grand_spectrum(path):
         eta_sens=columns["eta_sens"],
         n_contrib=columns["n_contrib"].astype(np.int32),
         support=columns["support"],
-        valid=(columns["eta_sens"] > 0) & (columns["support"] >= MIN_SUPPORT),
+        valid=_valid(columns["eta_sens"], columns["support"]),
         metadata=metadata,
     )

@@ -499,7 +499,8 @@ BAD_VALUES = {
     ("campaign", "lo_hz"): ["-1"],
     ("campaign", "hi_hz"): ["4.0e9", "4.1400e9"],  # 4.1400e9 is lo_hz: a one-point band
     ("campaign", "step_hz"): ["0"],
-    ("campaign", "skip_windows"): ["4.15e9:4.14e9"],
+    # the second skip window leaves no tuning step
+    ("campaign", "skip_windows"): ["4.15e9:4.14e9", "4.139e9:4.141e9"],
     ("campaign", "master_seed"): ["-1"],
     ("acquisition", "tau_s"): ["0"],
     ("acquisition", "bin_width_hz"): ["0"],
@@ -586,6 +587,44 @@ class TestFailureModes:
         )
         assert run_cli("simulate", "--config", ini, "--out", tmp_path / "o") == 2
         assert stderr_payload(capsys)["error"] == "ConfigError"
+
+    # Fifteen candidate steps 85 kHz apart; the skip window removes the nine
+    # between 4.14017 and 4.14102 GHz.  Each band reaches 200 kHz plus the
+    # 51.2 kHz lineshape span from its step, so 4.14042-4.14077 GHz is in no band.
+    GAP_INI = SMALL_INI.replace("hi_hz = 4.140360e9", "hi_hz = 4.1412e9").replace(
+        "skip_windows =", "skip_windows = 4.1402e9:4.1410e9"
+    )
+
+    def test_injection_in_skipped_gap_exits_2_at_load(self, tmp_path, capsys):
+        """An injection inside the hull of the bands but in none of them is
+        refused at load, not silently left out of every spectrum."""
+        injection = "\n[injections]\nlist = {}:1.0\n"
+        ini = write_ini(tmp_path / "gap.ini", self.GAP_INI + injection.format("4.1406e9"))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", ini, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert "injection at 4140600000.0 Hz" in payload["message"]
+        assert not out.exists()
+        # just inside the last band below the gap
+        covered = write_ini(tmp_path / "ok.ini", self.GAP_INI + injection.format("4.1404e9"))
+        assert [h.nu_a_hz for h in load_config(covered).hypotheses()] == [4.1404e9]
+
+    def test_too_many_windows_exits_2(self, cli_run, tmp_path, capsys):
+        """exclude refuses more windows than included bins rather than
+        shrinking them to one bin each."""
+        _, out_all = cli_run
+        out = tmp_path / "windows"
+        shutil.copytree(out_all, out)
+        shutil.rmtree(out / "exclusion")
+        many = write_ini(tmp_path / "many.ini", SMALL_INI + "\n[inference]\nn_windows = 10000000\n")
+        assert run_cli("exclude", "--config", many, "--out", out) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 2
+        assert "n_windows = 10000000 exceeds" in payload["message"]
+        assert not (out / "exclusion").exists()
 
     @pytest.mark.parametrize(
         "setting", ["step_components_max = 0", "step_excursion = 1.5"]

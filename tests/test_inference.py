@@ -616,10 +616,11 @@ class TestResultAndFiles:
         assert result.target == 0.1
         assert result.metadata["config_hash"] == "deadbeef"
 
-    def test_window_count_clamped_to_bins(self):
+    def test_window_count_above_included_bins_refused(self):
         grand = make_grand(n=10)
-        result = run_exclusion(grand, n_windows=100)
-        assert result.window_lo.size == 10
+        with pytest.raises(ConfigError, match="exceeds the 10 included bins"):
+            run_exclusion(grand, n_windows=11)
+        assert run_exclusion(grand, n_windows=10).window_lo.size == 10
 
     def test_band_restriction_drops_out_of_band_bins(self):
         grand = make_grand(n=100, rf_start=4.1e9)

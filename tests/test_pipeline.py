@@ -535,6 +535,21 @@ class TestCoadd:
         )
         assert grand.support[100] == pytest.approx(1.0)
 
+    def test_zero_transfer_leaves_no_valid_bin(self, default_lineshape, tmp_path):
+        """A filter that passes no signal gives eta_sens = 0 everywhere, so
+        no bin is valid, and the file read back agrees."""
+        report = dataclasses.replace(self.uncorrelated_report(default_lineshape), t_signal=0.0)
+        combined = CombinedSpectrum(
+            rf_start_hz=REF_NU, bin_width_hz=100.0,
+            num=np.random.default_rng(1).standard_normal(400),
+            den=np.full(400, 2.0), n_contrib=np.ones(400, dtype=np.int32),
+        )
+        grand = coadd_grand(combined, report)
+        assert not grand.valid.any()
+        write_grand_spectrum(grand, tmp_path / "grand.dat")
+        back = read_grand_spectrum(tmp_path / "grand.dat")
+        np.testing.assert_array_equal(back.valid, grand.valid)
+
     def test_span_must_fit(self, default_lineshape):
         report = self.uncorrelated_report(default_lineshape)
         tiny = CombinedSpectrum(

@@ -29,7 +29,7 @@ from .receiver import (
     squeezer_ratio,
     thermal_quanta,
 )
-from .spectra import recorded
+from .spectra import at_recorded_tuning
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,15 @@ class CalibrationResult:
     flags: tuple = ()
 
     def __post_init__(self):
+        for name in ("nu_c_hz", "gain_db_hat"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("g_s_hat", "s_hat", "n_c0_hat", "n_a_hat"):
-            if getattr(self, name) < 0.0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         for name in ("g_s_sigma", "s_sigma", "n_c0_sigma", "n_a_sigma", "gain_db_sigma"):
-            if not getattr(self, name) > 0.0:
-                raise DataError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 def _check_shared_grid(spectra):
@@ -97,17 +100,15 @@ def _check_shared_grid(spectra):
             raise DataError("calibration spectra do not share a bin grid")
 
 
-def _weighted_mean(values, sigmas, valid=None):
-    """Inverse-variance mean over valid bins; returns (mean, sigma)."""
-    weights = np.zeros_like(values)
+def _weighted_mean(values, sigmas):
+    """Inverse-variance mean over the bins with finite values and positive
+    finite sigmas; returns (mean, sigma)."""
     mask = np.isfinite(values) & np.isfinite(sigmas) & (sigmas > 0)
-    if valid is not None:
-        mask &= valid
-    weights[mask] = 1.0 / sigmas[mask] ** 2
+    weights = 1.0 / sigmas[mask] ** 2
     total = weights.sum()
     if total <= 0.0:
         raise DataError("no usable bins in band average")
-    return float(np.sum(weights * values) / total), float(1.0 / math.sqrt(total))
+    return float(np.sum(weights * values[mask]) / total), float(1.0 / math.sqrt(total))
 
 
 def infer_added_noise(hot, cold, t_hot_k, t_cold_k):
@@ -141,7 +142,7 @@ def infer_added_noise(hot, cold, t_hot_k, t_cold_k):
     gain_sigma = math.hypot(sig_h, sig_c) / (n_h - n_c)
 
     valid = diff > 0
-    gain_hat, gain_err = _weighted_mean(gain_curve, gain_sigma, valid)
+    gain_hat, gain_err = _weighted_mean(gain_curve[valid], gain_sigma[valid])
     if gain_hat <= 0.0:
         raise DataError(f"inferred non-positive gain {gain_hat!r}")
 
@@ -181,7 +182,10 @@ def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
     refl = cavity_reflectance(delta, geometry.kappa_l, geometry.beta)
     absorbed = 1.0 - refl
 
-    q = (meas3.psd / meas1.psd) / (1.0 + 1.0 / meas1.n_averages)
+    # the curve is defined only on bins that absorb
+    valid = absorbed > 1e-6
+    refl, absorbed = refl[valid], absorbed[valid]
+    q = (meas3.psd[valid] / meas1.psd[valid]) / (1.0 + 1.0 / meas1.n_averages)
     reference = geometry.n_f + n_a
     # sigma from the nominal geometry, not the measured ratio: weights must
     # be independent of the per-bin noise or the band mean picks up an
@@ -191,8 +195,7 @@ def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
     curve = (q * reference - geometry.n_f * refl - n_a) / absorbed
     sigma = q_sigma * reference / absorbed
 
-    valid = absorbed > 1e-6
-    n_c0_hat, n_c0_err = _weighted_mean(curve, sigma, valid)
+    n_c0_hat, n_c0_err = _weighted_mean(curve, sigma)
     flags = []
     if n_c0_hat < 0.0:
         flags.append("clamped:n_c0")
@@ -219,9 +222,13 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
         n_a = geometry.n_a
     delta = meas3.frequencies - geometry.nu_c
     refl = cavity_reflectance(delta, geometry.kappa_l, geometry.beta)
+    # the curve is defined only on bins that reflect: at critical coupling
+    # the on-resonance bin reflects nothing
+    valid = refl > 1e-6
+    refl = refl[valid]
     absorbed = 1.0 - refl
 
-    rho = (meas2.psd / meas3.psd) / (1.0 + 1.0 / meas3.n_averages)
+    rho = (meas2.psd[valid] / meas3.psd[valid]) / (1.0 + 1.0 / meas3.n_averages)
     model3 = noise_total(refl, n_c0, 1.0, geometry.n_f, n_a)
     # nominal-model weighting for the same reason as the cavity fit
     model2 = noise_total(refl, n_c0, geometry.delivered, geometry.n_f, n_a)
@@ -232,8 +239,7 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
     s_curve = (rho * model3 - n_c0 * absorbed - n_a) / reflected
     s_sigma = rho_sigma * model3 / reflected
 
-    valid = refl > 1e-6
-    s_hat, s_err = _weighted_mean(s_curve, s_sigma, valid)
+    s_hat, s_err = _weighted_mean(s_curve, s_sigma)
     flags = []
     no_squeezing = s_hat >= 1.0
     if no_squeezing:
@@ -259,16 +265,14 @@ def run_calibration(calset, geometry, *, eta=None):
     """Full inference chain for one calibration set.
 
     Order matters: the load fit supplies N_A to the cavity fit, whose
-    N_c0 feeds the squeezing fit.  geometry supplies the tuned beta,
-    kappa_l and the ex-situ N_f and eta; its nu_c is overridden by the
-    set's recorded tuning when present.  A recorded nu_c_hz that is not a
-    positive number raises DataError.
+    N_c0 feeds the squeezing fit.  geometry supplies kappa_l and the
+    ex-situ N_f and eta; the set is fitted at meas2's recorded tuning, by
+    ``process``'s rule (``spectra.at_recorded_tuning``).  A recorded value
+    that is not a positive number raises DataError.
     """
     if eta is None:
         eta = geometry.eta
-    geometry = dataclasses.replace(
-        geometry, nu_c=recorded(calset.meas2, "nu_c_hz", geometry.nu_c)
-    )
+    geometry = at_recorded_tuning(geometry, calset.meas2)
     added = infer_added_noise(calset.hot, calset.cold, calset.t_hot_k, calset.t_cold_k)
     cavity = infer_cavity_noise(calset.meas1, calset.meas3, geometry, n_a=added.n_a_hat)
     squeezing = infer_squeezing(

@@ -49,21 +49,19 @@ def derive_seed(master_seed, stream, index, salt=0):
 
 @dataclass(frozen=True)
 class TuningStep:
+    """One cavity tuning.  The coupling is the receiver's ``beta``; the
+    step's seeds derive from the plan's master seed and ``step_id``."""
+
     step_id: int
     nu_c_hz: float
-    beta: float
-    seed: int
 
 
 @dataclass(frozen=True)
 class TuningPlan:
-    """Ordered tuning steps plus the grid that generated them."""
+    """Ordered tuning steps, the skip windows they avoid and the master seed."""
 
     steps: tuple
     skip_windows: tuple
-    lo_hz: float
-    hi_hz: float
-    step_hz: float
     master_seed: int
 
     def __post_init__(self):
@@ -89,10 +87,11 @@ class TuningPlan:
         return min(self.steps, key=lambda s: (abs(s.nu_c_hz - freq_hz), s.nu_c_hz))
 
 
-def make_tuning_plan(lo_hz, hi_hz, step_hz, skip_windows=(), *, beta=1.0, master_seed=0):
+def make_tuning_plan(lo_hz, hi_hz, step_hz, skip_windows=(), *, master_seed=0):
     """Uniform frequency grid from lo to hi, dropping points inside skips.
 
-    A degenerate range (lo == hi) yields a single step.  A range fully
+    Steps are numbered in frequency order after the skips are dropped.  A
+    degenerate range (lo == hi) yields a single step.  A range fully
     covered by skip windows yields an empty plan rather than an error.
     """
     if not (lo_hz <= hi_hz):
@@ -107,28 +106,12 @@ def make_tuning_plan(lo_hz, hi_hz, step_hz, skip_windows=(), *, beta=1.0, master
         windows.append((float(lo), float(hi)))
     n_candidates = int(math.floor((hi_hz - lo_hz) / step_hz + 1e-9)) + 1
     steps = []
-    step_id = 0
     for k in range(n_candidates):
         nu = lo_hz + k * step_hz
         if any(lo <= nu <= hi for lo, hi in windows):
             continue
-        steps.append(
-            TuningStep(
-                step_id=step_id,
-                nu_c_hz=nu,
-                beta=beta,
-                seed=derive_seed(master_seed, STREAM_SPECTRUM, step_id),
-            )
-        )
-        step_id += 1
-    return TuningPlan(
-        steps=tuple(steps),
-        skip_windows=tuple(windows),
-        lo_hz=lo_hz,
-        hi_hz=hi_hz,
-        step_hz=step_hz,
-        master_seed=master_seed,
-    )
+        steps.append(TuningStep(step_id=len(steps), nu_c_hz=nu))
+    return TuningPlan(steps=tuple(steps), skip_windows=tuple(windows), master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -220,7 +203,7 @@ def make_baseline_model(
     )
 
 
-def band_start(step, bin_width_hz=DEFAULT_BIN_WIDTH_HZ, n_bins=DEFAULT_N_BINS):
+def band_start(step, bin_width_hz, n_bins):
     """First bin center of the analysis band; the center bin sits on nu_c."""
     return step.nu_c_hz - (n_bins // 2) * bin_width_hz
 
@@ -238,17 +221,10 @@ def _n_averages(tau_s, bin_width_hz):
     return max(1, int(round(tau_s * bin_width_hz)))
 
 
-def hypothesis_in_band(
-    step,
-    hypothesis,
-    *,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
-    n_bins=DEFAULT_N_BINS,
-    lineshape=None,
-):
-    ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=bin_width_hz)
+def hypothesis_in_band(step, hypothesis, *, bin_width_hz, n_bins, lineshape):
+    """Whether a hypothesis lies within a lineshape span of the step's band."""
     start = band_start(step, bin_width_hz, n_bins)
-    margin = ls.span_bins * bin_width_hz
+    margin = lineshape.span_bins * bin_width_hz
     return start - margin <= hypothesis.nu_a_hz <= start + (n_bins - 1) * bin_width_hz + margin
 
 
@@ -430,8 +406,8 @@ def simulate_calibration(
 
 
 def _at_step(receiver, step):
-    """The receiver tuned to a step's nominal center and coupling."""
-    return dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
+    """The receiver tuned to a step's nominal center."""
+    return dataclasses.replace(receiver, nu_c=step.nu_c_hz)
 
 
 def _simulate_step(
@@ -445,6 +421,8 @@ def _simulate_step(
         anomaly_rate=anomaly_rate, anomaly_types=anomaly_types, n_bins=n_bins, salt=salt,
     )
     diag.update(extra or {})
+    if lineshape is None:
+        lineshape = LineshapeParams(bin_width_hz=float(bin_width_hz))
     grid = {"lineshape": lineshape, "bin_width_hz": bin_width_hz, "n_bins": n_bins}
     in_band = [h for h in hypotheses if hypothesis_in_band(step, h, **grid)]
     return simulate_spectrum(
@@ -473,8 +451,9 @@ def simulate_campaign(
     """Simulate every step of a plan; returns (spectra, calibration sets).
 
     Calibrations are taken every cal_every steps under nominal conditions
-    (anomalies perturb science spectra only).  Steps run one after the
-    other in plan order, each seeded by its step_id.  ``threads`` is
+    (anomalies perturb science spectra only).  Every step runs at the
+    receiver's coupling, tuned to the step's centre.  Steps run one after
+    the other in plan order, each seeded by its step_id.  ``threads`` is
     accepted and ignored: the simulation is single-threaded and its output
     does not depend on it.
     """
@@ -483,7 +462,8 @@ def simulate_campaign(
     spectra, calsets = [], []
     for step in plan.steps:
         spectra.append(_simulate_step(
-            plan, step, receiver, baseline_model, step.seed, hypotheses=hypotheses,
+            plan, step, receiver, baseline_model,
+            derive_seed(plan.master_seed, STREAM_SPECTRUM, step.step_id), hypotheses=hypotheses,
             lineshape=lineshape, tau_s=tau_s, bin_width_hz=bin_width_hz, n_bins=n_bins,
             anomaly_rate=anomaly_rate, anomaly_types=anomaly_types,
         ))

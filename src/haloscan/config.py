@@ -237,7 +237,6 @@ class CampaignConfig:
             self.get("campaign", "hi_hz"),
             self.get("campaign", "step_hz"),
             self.get("campaign", "skip_windows"),
-            beta=self.get("receiver", "beta"),
             master_seed=self.master_seed,
         )
         if plan.n_steps == 0:
@@ -301,7 +300,7 @@ class CampaignConfig:
 # Each builder with the sections it reads.  Loading builds each once, so a
 # value its constructor refuses stops the run before any stage writes.
 _BUILDERS = (
-    ("campaign, receiver", CampaignConfig.tuning_plan),
+    ("campaign", CampaignConfig.tuning_plan),
     ("campaign, receiver", CampaignConfig.receiver),
     ("acquisition, sensitivity", CampaignConfig.lineshape),
     ("campaign, baseline", CampaignConfig.baseline_model),

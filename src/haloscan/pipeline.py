@@ -38,7 +38,7 @@ from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
 from .receiver import squeezer_ratio, visibility
-from .spectra import recorded
+from .spectra import at_recorded_tuning, recorded_centre
 
 # Kernel coverage below which a grand-spectrum bin is flagged invalid.
 MIN_SUPPORT = 0.999
@@ -119,7 +119,8 @@ class CutLog:
 class ProcessedSpectrum:
     """Dimensionless per-bin excess for one step, mean 0 under null;
     ``valid`` is the read-only mask every spectrum of one removal shares;
-    ``metadata`` is the raw spectrum's, whose ``nu_c_hz`` and ``beta`` set the weights."""
+    ``metadata`` is the raw spectrum's, whose tuning sets the weights
+    (``spectra.at_recorded_tuning``)."""
 
     step_id: int
     nu_start_hz: float
@@ -128,6 +129,10 @@ class ProcessedSpectrum:
     sigma: float
     valid: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def n_bins(self):
+        return self.excess.size
 
 
 @dataclass(frozen=True)
@@ -413,7 +418,7 @@ def remove_structure(spectra, settings, lineshape):
             raise DataError("spectra disagree on the IF grid")
     lineshape.check_bin_width(db)
     m = len(spectra)
-    centers = [_step_center(s, n_bins) for s in spectra]
+    centers = [recorded_centre(s) for s in spectra]
     # also refuses a filter window that does not fit the band
     report = measure_filter_transfer(
         settings, lineshape, m, n_bins, nu_ref_hz=float(np.median(centers))
@@ -444,27 +449,19 @@ def remove_structure(spectra, settings, lineshape):
     return processed, report
 
 
-def _step_center(spectrum, n_bins):
-    """The recorded ``nu_c_hz``, else the band centre ``campaign.band_start`` implies."""
-    centre = spectrum.nu_start_hz + (n_bins // 2) * spectrum.bin_width_hz
-    return recorded(spectrum, "nu_c_hz", centre)
-
-
 def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
     """Per-bin expected fractional excess of a g = 1 axion, from the
-    measured calibration at the step's recorded nu_c_hz and beta."""
-    nu_c = _step_center(spectrum, spectrum.excess.size)
+    measured calibration at the step's recorded tuning."""
     receiver = dataclasses.replace(
-        geometry,
-        nu_c=nu_c,
-        beta=recorded(spectrum, "beta", geometry.beta),
+        at_recorded_tuning(geometry, spectrum),
         n_c0=max(cal.n_c0_hat, 0.25),
         n_a=cal.n_a_hat,
         g_s=max(0.0, squeezer_ratio(geometry.eta, cal.s_hat)),
     )
+    nu_c = receiver.nu_c
     hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=snr_ref)
     a_ref = reference_amplitude(hyp, receiver, lineshape, tau_s=tau_s)
-    freqs = spectrum.nu_start_hz + np.arange(spectrum.excess.size) * spectrum.bin_width_hz
+    freqs = spectrum.nu_start_hz + np.arange(spectrum.n_bins) * spectrum.bin_width_hz
     return a_ref / spectrum.bin_width_hz * visibility(receiver, hyp, freqs - nu_c)
 
 

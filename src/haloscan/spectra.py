@@ -9,7 +9,7 @@ and the typed metadata.  Frequencies refer to bin centers; bin k sits at
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,6 +95,19 @@ def recorded(spectrum, key, default):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
         raise DataError(f"step {spectrum.step_id}: {key}={value!r} is not a positive number")
     return float(value)
+
+
+def recorded_centre(spectrum):
+    """The recorded ``nu_c_hz``, else the band centre ``campaign.band_start`` implies."""
+    centre = spectrum.nu_start_hz + (spectrum.n_bins // 2) * spectrum.bin_width_hz
+    return recorded(spectrum, "nu_c_hz", centre)
+
+
+def at_recorded_tuning(geometry, spectrum):
+    """``geometry`` tuned as the spectrum was taken: its recorded ``nu_c_hz``
+    (else its band centre) and ``beta`` (else the geometry's own)."""
+    beta = recorded(spectrum, "beta", geometry.beta)
+    return replace(geometry, nu_c=recorded_centre(spectrum), beta=beta)
 
 
 def write_spectrum(spectrum, path):

@@ -46,7 +46,7 @@ def default_lineshape():
 @pytest.fixture
 def small_plan():
     """9 steps, 85 kHz apart, centered near the reference frequency."""
-    return make_tuning_plan(4.1396e9, 4.14028e9, 85e3, beta=7.1, master_seed=77)
+    return make_tuning_plan(4.1396e9, 4.14028e9, 85e3, master_seed=77)
 
 
 @pytest.fixture

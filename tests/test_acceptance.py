@@ -154,7 +154,7 @@ def test_02_squeezing_chain(capsys):
     direct = delivered_squeezing(0.63, 0.0)
     cfg = load_config(REFERENCE_INI)
     receiver = cfg.receiver()
-    step = TuningStep(step_id=0, nu_c_hz=receiver.nu_c, beta=receiver.beta, seed=11)
+    step = TuningStep(step_id=0, nu_c_hz=receiver.nu_c)
     calset = simulate_calibration(
         step,
         receiver,

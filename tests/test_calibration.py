@@ -184,6 +184,38 @@ class TestFullChain:
         assert result.nu_c_hz == pytest.approx(cal_step.nu_c_hz)
         assert result.n_c0_hat == pytest.approx(0.41, rel=1e-4)
 
+    def test_missing_centre_fits_at_band_centre(self, cal_step):
+        """A meas2 without nu_c_hz is fitted at its own band centre, not at
+        the geometry's."""
+        receiver = make_receiver(nu_c=cal_step.nu_c_hz)
+        cs = simulate_calibration(cal_step, receiver, seed=5, tau_s=600.0, n_bins=2000)
+        displaced = make_receiver(nu_c=cal_step.nu_c_hz + 2.1e6)
+        with_key = run_calibration(cs, displaced)
+        del cs.meas2.metadata["nu_c_hz"]
+        assert run_calibration(cs, displaced) == with_key
+        assert with_key.nu_c_hz == cal_step.nu_c_hz
+
+    def test_recorded_coupling_overrides_geometry(self, cal_step):
+        """Sets taken at beta = 1 fit at beta = 1 whatever the geometry says."""
+        taken = make_receiver(nu_c=cal_step.nu_c_hz, beta=1.0)
+        fitted = make_receiver(nu_c=cal_step.nu_c_hz)  # beta = 7.1
+        for seed in (1, 2, 3):
+            cs = simulate_calibration(cal_step, taken, seed=seed, tau_s=600.0, n_bins=4000)
+            result = run_calibration(cs, fitted)
+            assert result.n_c0_hat == pytest.approx(0.41, abs=2e-3)
+            assert result.s_hat == pytest.approx(0.40, abs=2e-3)
+
+    def test_critical_coupling_is_finite(self, cal_step):
+        """At beta = 1 the on-resonance bin reflects nothing; the squeezing
+        fit leaves it out instead of dividing by zero."""
+        receiver = make_receiver(nu_c=cal_step.nu_c_hz, beta=1.0)
+        cs = noiseless_calset(receiver, cal_step)
+        assert np.min(cavity_reflectance(
+            cs.meas2.frequencies - receiver.nu_c, receiver.kappa_l, 1.0)) == 0.0
+        result = run_calibration(cs, receiver)
+        assert result.n_c0_hat == pytest.approx(0.41, rel=1e-4)
+        assert result.s_hat == pytest.approx(0.4, rel=1e-4)
+
     def test_gain_rescale_moves_only_gain(self, cal_step):
         receiver = make_receiver(nu_c=cal_step.nu_c_hz)
         cs = noiseless_calset(receiver, cal_step)
@@ -255,6 +287,12 @@ class TestAssignment:
             dataclasses.replace(self.make_result(0), n_c0_hat=-0.1)
         with pytest.raises(DataError):
             dataclasses.replace(self.make_result(0), g_s_sigma=0.0)
+
+    @pytest.mark.parametrize("name", ["s_hat", "g_s_hat", "s_sigma", "gain_db_hat"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_estimate_refused(self, name, value):
+        with pytest.raises(DataError, match=name):
+            dataclasses.replace(self.make_result(0), **{name: value})
 
 
 class TestResultsFile:

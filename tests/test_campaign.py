@@ -26,6 +26,7 @@ from haloscan import (
 from haloscan.campaign import (
     STREAM_BASELINE,
     STREAM_RESCAN,
+    STREAM_SPECTRUM,
     _shared_baseline,
     band_start,
     draw_step_effects,
@@ -73,7 +74,7 @@ class TestTuningPlan:
 
     def test_per_step_seeds_unique(self):
         plan = make_tuning_plan(4.100e9, 4.178e9, 85e3, master_seed=3)
-        seeds = [s.seed for s in plan.steps]
+        seeds = [derive_seed(plan.master_seed, STREAM_SPECTRUM, s.step_id) for s in plan.steps]
         assert len(set(seeds)) == len(seeds)
 
 
@@ -400,6 +401,24 @@ class TestCampaignOrchestration:
         assert [c.step_id for c in calsets] == [0, 9, 18]
         assert [s.step_id for s in spectra] == list(range(19))
 
+    def test_step_regenerates_in_isolation(self, wavy_baseline):
+        """A campaign spectrum is simulate_spectrum at the step's nominal
+        receiver, seeded from the master seed and its step_id alone."""
+        plan = make_tuning_plan(4.1500e9, 4.15068e9, 85e3, master_seed=28)
+        receiver = make_receiver()
+        shape = dict(tau_s=5.0, bin_width_hz=100.0, n_bins=400)
+        spectra, _ = simulate_campaign(plan, receiver, wavy_baseline, **shape)
+        step = plan.steps[5]
+        nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz)
+        _, diag, _ = draw_step_effects(plan.master_seed, step.step_id, nominal, n_bins=400)
+        want = simulate_spectrum(
+            step, nominal, wavy_baseline,
+            derive_seed(plan.master_seed, STREAM_SPECTRUM, step.step_id),
+            metadata=diag, **shape,
+        )
+        np.testing.assert_array_equal(spectra[5].psd, want.psd)
+        assert spectra[5].metadata == want.metadata
+
     def test_thread_invariance(self, wavy_baseline):
         plan = make_tuning_plan(4.1500e9, 4.15068e9, 85e3, master_seed=22)
         receiver = make_receiver()
@@ -500,7 +519,7 @@ class TestRescans:
         )
         assert [r.step_id for r in rescans] == [1, 3]
         for order, (step, got, in_band) in enumerate(zip(steps, rescans, ([hyp], []))):
-            nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz, beta=step.beta)
+            nominal = dataclasses.replace(receiver, nu_c=step.nu_c_hz)
             _, diag, _ = draw_step_effects(plan.master_seed, step.step_id, nominal, salt=1)
             want = simulate_spectrum(
                 step, nominal, wavy_baseline,

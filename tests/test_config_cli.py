@@ -327,6 +327,16 @@ class TestPipelineViaCli:
         for stamp in sidecar["stages"].values():
             assert "T" in stamp and "+00:00" in stamp
 
+    def test_critical_coupling_runs_end_to_end(self, tmp_path):
+        """beta = 1 puts a bin with zero reflectance on resonance; calibrate
+        still fits a finite squeezing there and process accepts it."""
+        ini = write_ini(tmp_path / "critical.ini", SMALL_INI + "\n[receiver]\nbeta = 1.0\n")
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", ini, "--out", out) == 0
+        delivered = load_config(ini).receiver().delivered
+        for result in read_json(out / "calibration_results.json")["results"]:
+            assert result["s_hat"] == pytest.approx(delivered, abs=2e-3)
+
     def test_calibration_results(self, cli_run):
         _, out = cli_run
         payload = read_json(out / "calibration_results.json")

@@ -73,6 +73,7 @@ from .pipeline import (
     coadd_grand,
     combine_spectra,
     flag_rescans,
+    included,
     measure_filter_transfer,
     process_campaign,
     process_group,
@@ -98,6 +99,8 @@ from .receiver import (
 from .spectra import (
     CalibrationSet,
     RawSpectrum,
+    SpectrumFile,
+    open_spectrum,
     read_calibration_set,
     read_spectrum,
     write_calibration_set,

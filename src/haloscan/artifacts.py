@@ -78,11 +78,19 @@ def read_array_file(path, kind, core_keys, column_names):
     Returns ``(core, metadata, columns)``; raises DataError on any format
     problem, including a column list other than ``column_names``.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot open {kind} file: {exc}") from exc
-    with fh:
+    core, metadata, n_bins, offsets = read_array_head(path, kind, core_keys, column_names)
+    return core, metadata, read_array_columns(path, kind, offsets, n_bins)
+
+
+def read_array_head(path, kind, core_keys, column_names):
+    """All of a file but its column values: ``(core, metadata, n_bins, offsets)``.
+
+    Checks everything ``read_array_file`` checks except the values: the
+    header, each column's .npy header (float64 of shape ``(n_bins,)``) and
+    the file length.  ``offsets`` maps each column to the byte offset of
+    its values, which ``read_array_columns`` reads.
+    """
+    with _open(path, kind) as fh:
         header = _read_header(fh, path, kind)
         if header.pop("columns", None) != list(column_names):
             raise DataError(f"{path}: expected columns {list(column_names)}")
@@ -90,19 +98,59 @@ def read_array_file(path, kind, core_keys, column_names):
         missing = [key for key in core_keys if key not in header]
         if missing or not isinstance(n_bins, int):
             raise DataError(f"{path}: missing header keys {missing or ['n_bins']}")
+        offsets = {}
         try:
-            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in column_names]
-            trailing = fh.read(1)
+            for name in column_names:
+                shape, _, dtype = _read_npy_header(fh)
+                if dtype != np.float64 or shape != (n_bins,):
+                    raise DataError(f"{path}: header declares {n_bins} bins, column {name!r} "
+                                    f"holds {dtype} of shape {shape}")
+                offsets[name] = fh.tell()
+                fh.seek(n_bins * dtype.itemsize, os.SEEK_CUR)
         except (ValueError, EOFError) as exc:
             raise DataError(f"{path}: malformed column payload: {exc}") from exc
-    for name, array in zip(column_names, arrays):
-        if array.dtype != np.float64 or array.shape != (n_bins,):
-            raise DataError(f"{path}: header declares {n_bins} bins, column {name!r} "
-                            f"holds {array.dtype} of shape {array.shape}")
-    if trailing:
+        end, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    if size < end:
+        raise DataError(f"{path}: malformed column payload: {size} bytes, expected {end}")
+    if size > end:
         raise DataError(f"{path}: trailing bytes after the last column")
     core = {key: header.pop(key) for key in core_keys}
-    return core, header, dict(zip(column_names, arrays))
+    return core, header, n_bins, offsets
+
+
+def read_array_columns(path, kind, offsets, n_bins):
+    """The values of the columns ``read_array_head`` found, name -> array."""
+    columns = {}
+    with _open(path, kind) as fh:
+        for name, offset in offsets.items():
+            fh.seek(offset)
+            values = np.fromfile(fh, dtype=np.float64, count=n_bins)
+            if values.size != n_bins:
+                raise DataError(f"{path}: column {name!r} ends after {values.size} "
+                                f"of {n_bins} values")
+            columns[name] = values
+    return columns
+
+
+def _open(path, kind):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {kind} file: {exc}") from exc
+
+
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_npy_header(fh):
+    """(shape, fortran_order, dtype) of the .npy block at the file position."""
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f".npy format version {version} not written here")
+    return _NPY_HEADER_READERS[version](fh)
 
 
 def _read_header(fh, path, kind):

@@ -42,8 +42,8 @@ from .pipeline import (
 )
 from .receiver import noise_budget, report_enhancement
 from .spectra import (
+    open_spectrum,
     read_calibration_set,
-    read_spectrum,
     write_calibration_set,
     write_spectrum,
 )
@@ -141,10 +141,9 @@ def _acquisition(cfg):
     }
 
 
-def _write_spectra(cfg, spectra, directory):
+def _write_spectra(stamp, spectra, directory):
     """Stamp and write science spectra as step_NNNNN.spec; returns the paths."""
     os.makedirs(directory, exist_ok=True)
-    stamp = _provenance(cfg)
     paths = []
     for spectrum in spectra:
         path = os.path.join(directory, f"step_{spectrum.step_id:05d}.spec")
@@ -154,13 +153,24 @@ def _write_spectra(cfg, spectra, directory):
     return paths
 
 
+def _write_calsets(stamp, calsets, ws):
+    """Stamp and write calibration sets; returns their directories."""
+    directories = []
+    for calset in calsets:
+        directory = ws.calset_dir(calset.step_id)
+        for spectrum in calset.spectra().values():
+            spectrum.metadata.update(stamp)
+        write_calibration_set(calset, directory)
+        directories.append(directory)
+    return directories
+
+
 def stage_simulate(cfg, ws):
+    """Simulate the plan one step at a time, writing each step's spectrum and
+    calibration set as soon as it is drawn; seeds and draws are per step."""
     plan = cfg.tuning_plan()
     log.info("simulating %d steps", plan.n_steps)
-    spectra, calsets = simulate_campaign(
-        plan,
-        cfg.receiver(),
-        cfg.baseline_model(),
+    options = dict(
         hypotheses=cfg.hypotheses(),
         anomaly_rate=cfg.get("anomalies", "rate"),
         anomaly_types=cfg.get("anomalies", "types"),
@@ -169,23 +179,25 @@ def stage_simulate(cfg, ws):
         t_cold_k=cfg.get("calibration", "t_cold_k"),
         **_acquisition(cfg),
     )
-    artifacts = _write_spectra(cfg, spectra, ws.spectra_dir)
+    receiver, baseline = cfg.receiver(), cfg.baseline_model()
     stamp = _provenance(cfg)
-    for calset in calsets:
-        directory = ws.calset_dir(calset.step_id)
-        for spectrum in calset.spectra().values():
-            spectrum.metadata.update(stamp)
-        write_calibration_set(calset, directory)
-        artifacts.append(directory)
+    artifacts, n_calsets = [], 0
+    for step in plan.steps:
+        one_step = dataclasses.replace(plan, steps=(step,))
+        spectra, calsets = simulate_campaign(one_step, receiver, baseline, **options)
+        artifacts += _write_spectra(stamp, spectra, ws.spectra_dir)
+        artifacts += _write_calsets(stamp, calsets, ws)
+        n_calsets += len(calsets)
     _update_manifest(ws, cfg, "simulate", artifacts)
-    log.info("wrote %d spectra, %d calibration sets", len(spectra), len(calsets))
+    log.info("wrote %d spectra, %d calibration sets", plan.n_steps, n_calsets)
 
 
 def _load_spectra(cfg, ws):
+    """The science spectra's headers; each PSD is read when a pass needs it."""
     paths = sorted(glob.glob(os.path.join(ws.spectra_dir, "step_*.spec")))
     if not paths:
         raise DataError(f"no spectra found under {ws.spectra_dir}; run simulate first")
-    spectra = [read_spectrum(p) for p in paths]
+    spectra = [open_spectrum(p) for p in paths]
     for path, spectrum in zip(paths, spectra):
         _check_seed(cfg, spectrum.metadata, path)
     return spectra
@@ -277,7 +289,9 @@ def stage_process(cfg, ws):
             plan, steps, geometry, cfg.baseline_model(),
             hypotheses=cfg.hypotheses(), **acquisition,
         )
-        artifacts += _write_spectra(cfg, rescans, os.path.join(ws.rescan_dir, "spectra"))
+        artifacts += _write_spectra(
+            _provenance(cfg), rescans, os.path.join(ws.rescan_dir, "spectra")
+        )
         grand, _, _, _ = process_group(
             rescans, cal_results, geometry, lineshape, settings, **analysis
         )

@@ -31,6 +31,7 @@ import numpy as np
 
 from .artifacts import atomic_open, write_json
 from .errors import ConfigError, DataError
+from .pipeline import included
 
 DEFAULT_TARGET = 0.1
 DEFAULT_G_GRID = (0.5, 5.0, 200)
@@ -55,10 +56,6 @@ def _coupling_grid(g_grid):
     return grid
 
 
-def _included(grand):
-    return grand.valid & (grand.eta_sens > 0)
-
-
 def _coefficients(initial, rescans):
     """Per-included-bin (a, b) with ln U = a * g^2 - b * g^4.
 
@@ -66,7 +63,7 @@ def _coefficients(initial, rescans):
     aligned rescan bin that lands on an included initial bin; rescan bins
     elsewhere carry no weight.  Also returns the included bin indices.
     """
-    mask = _included(initial)
+    mask = included(initial)
     index_of = np.flatnonzero(mask)
     if index_of.size == 0:
         raise DataError("grand spectrum has no included bins")
@@ -82,7 +79,7 @@ def _coefficients(initial, rescans):
         off = (grand.rf_start_hz - initial.rf_start_hz) / db
         if abs(off - round(off)) > 1e-6:
             raise DataError("rescan grid not aligned to the initial lattice")
-        sub = np.flatnonzero(_included(grand))
+        sub = np.flatnonzero(included(grand))
         idx = sub + int(round(off))
         inside = (idx >= 0) & (idx < position.size)
         rows = position[idx[inside]]

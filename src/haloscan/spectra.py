@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import read_array_file, write_array_file
+from .artifacts import read_array_columns, read_array_file, read_array_head, write_array_file
 from .errors import DataError
 
 # Header keys that are structural rather than free-form metadata; the
@@ -39,17 +39,8 @@ class RawSpectrum:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.psd = np.asarray(self.psd, dtype=float)
-        if self.psd.ndim != 1 or self.psd.size == 0:
-            raise DataError("psd must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.psd)):
-            raise DataError(f"step {self.step_id}: psd contains non-finite samples")
-        if np.any(self.psd < 0.0):
-            raise DataError(f"step {self.step_id}: psd contains negative samples")
-        if self.bin_width_hz <= 0:
-            raise DataError(f"bin width must be > 0, got {self.bin_width_hz!r}")
-        if self.n_averages < 1:
-            raise DataError(f"n_averages must be >= 1, got {self.n_averages!r}")
+        self.psd = _checked_psd(self.step_id, self.psd)
+        _check_acquisition(self.bin_width_hz, self.n_averages)
 
     @property
     def n_bins(self):
@@ -62,6 +53,49 @@ class RawSpectrum:
 
     def detunings(self, nu_c):
         return self.frequencies - nu_c
+
+
+def _checked_psd(step_id, psd):
+    psd = np.asarray(psd, dtype=float)
+    if psd.ndim != 1 or psd.size == 0:
+        raise DataError("psd must be a non-empty 1-D array")
+    if not np.all(np.isfinite(psd)):
+        raise DataError(f"step {step_id}: psd contains non-finite samples")
+    if np.any(psd < 0.0):
+        raise DataError(f"step {step_id}: psd contains negative samples")
+    return psd
+
+
+def _check_acquisition(bin_width_hz, n_averages):
+    if bin_width_hz <= 0:
+        raise DataError(f"bin width must be > 0, got {bin_width_hz!r}")
+    if n_averages < 1:
+        raise DataError(f"n_averages must be >= 1, got {n_averages!r}")
+
+
+@dataclass(frozen=True)
+class SpectrumFile:
+    """A spectrum file read on demand: the header is parsed once, and every
+    access of ``psd`` reads and checks the column from disk.
+
+    It stands in for a ``RawSpectrum`` where a pass over many spectra
+    needs one PSD at a time: it has the same ``step_id``, ``nu_start_hz``,
+    ``bin_width_hz``, ``n_averages``, ``n_bins`` and ``metadata``.
+    """
+
+    path: str
+    step_id: int
+    nu_start_hz: float
+    bin_width_hz: float
+    n_averages: int
+    n_bins: int
+    metadata: dict
+    offsets: dict
+
+    @property
+    def psd(self):
+        columns = read_array_columns(self.path, "spectrum", self.offsets, self.n_bins)
+        return _checked_psd(self.step_id, columns["psd"])
 
 
 @dataclass
@@ -121,22 +155,34 @@ def write_spectrum(spectrum, path):
     write_array_file(path, "spectrum", core, spectrum.metadata, {"psd": spectrum.psd})
 
 
+def _core_fields(path, core):
+    """The typed core header fields of a spectrum file."""
+    try:
+        return {
+            "step_id": int(core["step_id"]),
+            "nu_start_hz": float(core["nu_start_hz"]),
+            "bin_width_hz": float(core["bin_width_hz"]),
+            "n_averages": int(core["n_averages"]),
+        }
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: inconsistent header: {exc}") from exc
+
+
 def read_spectrum(path):
     """Read a spectrum file; raises DataError on any format problem."""
     core, metadata, columns = read_array_file(path, "spectrum", _CORE_KEYS, ("psd",))
-    try:
-        return RawSpectrum(
-            step_id=int(core["step_id"]),
-            nu_start_hz=float(core["nu_start_hz"]),
-            bin_width_hz=float(core["bin_width_hz"]),
-            psd=columns["psd"],
-            n_averages=int(core["n_averages"]),
-            metadata=metadata,
-        )
-    except DataError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: inconsistent header: {exc}") from exc
+    return RawSpectrum(psd=columns["psd"], metadata=metadata, **_core_fields(path, core))
+
+
+def open_spectrum(path):
+    """The ``SpectrumFile`` of a spectrum file: header checked now, the PSD
+    read and checked on each access; raises DataError on a format problem."""
+    core, metadata, n_bins, offsets = read_array_head(path, "spectrum", _CORE_KEYS, ("psd",))
+    if n_bins < 1:
+        raise DataError("psd must be a non-empty 1-D array")
+    fields = _core_fields(path, core)
+    _check_acquisition(fields["bin_width_hz"], fields["n_averages"])
+    return SpectrumFile(path=path, n_bins=n_bins, metadata=metadata, offsets=offsets, **fields)
 
 
 def write_calibration_set(calset, directory):

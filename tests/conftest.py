@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +12,24 @@ from haloscan import (
     make_tuning_plan,
     thermal_quanta,
 )
+from haloscan.cli import main
+
+REFERENCE_INI = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.ini")
 
 REF_NU = 4.14e9
 REF_KAPPA_L = 88.1e3
+
+
+@pytest.fixture(scope="session")
+def reference_run(tmp_path_factory):
+    """(output directory, seconds) of one ``haloscan all`` on configs/reference.ini,
+    shared by the acceptance criteria and the fingerprint test; read it, never write."""
+    out = tmp_path_factory.mktemp("reference_out")
+    t0 = time.monotonic()
+    rc = main(["all", "--config", REFERENCE_INI, "--out", str(out), "--threads", "4"])
+    elapsed = time.monotonic() - t0
+    assert rc == 0
+    return out, elapsed
 
 
 @pytest.fixture(scope="session")

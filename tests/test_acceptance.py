@@ -62,17 +62,7 @@ def check(capsys, criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-# -- shared reference campaign --------------------------------------
-
-
-@pytest.fixture(scope="session")
-def reference_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("reference_out")
-    t0 = time.monotonic()
-    rc = main(["all", "--config", REFERENCE_INI, "--out", str(out), "--threads", "4"])
-    elapsed = time.monotonic() - t0
-    assert rc == 0
-    return out, elapsed
+# -- shared reference campaign (``reference_run`` is in conftest) ---
 
 
 @pytest.fixture(scope="session")

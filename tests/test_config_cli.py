@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from haloscan.axion import mass_uev
+from haloscan.campaign import simulate_campaign
 from haloscan.cli import main
 from haloscan.config import _SCHEMA, load_config
 from haloscan.errors import ConfigError, NumericError
@@ -423,6 +424,35 @@ class TestDeterminismAndStages:
             assert (out / "spectra" / name).read_bytes() == (
                 out_all / "spectra" / name
             ).read_bytes()
+
+    def test_simulate_writes_what_the_whole_campaign_draws(self, cli_run, tmp_path):
+        # simulate writes step by step; the bytes are those of one
+        # simulate_campaign over the whole plan, stamped and written
+        ini, out_all = cli_run
+        cfg = load_config(ini)
+        spectra, calsets = simulate_campaign(
+            cfg.tuning_plan(), cfg.receiver(), cfg.baseline_model(),
+            hypotheses=cfg.hypotheses(), lineshape=cfg.lineshape(),
+            tau_s=cfg.get("acquisition", "tau_s"),
+            bin_width_hz=cfg.get("acquisition", "bin_width_hz"),
+            n_bins=cfg.get("acquisition", "n_bins"),
+            anomaly_rate=cfg.get("anomalies", "rate"),
+            anomaly_types=cfg.get("anomalies", "types"),
+            cal_every=cfg.get("calibration", "cal_every"),
+            t_hot_k=cfg.get("calibration", "t_hot_k"),
+            t_cold_k=cfg.get("calibration", "t_cold_k"),
+        )
+        expected = {f"spectra/step_{s.step_id:05d}.spec": s for s in spectra}
+        for calset in calsets:
+            for role, s in calset.spectra().items():
+                expected[f"calibration/step_{calset.step_id:05d}/{role}.spec"] = s
+        written = [*out_all.glob("spectra/*.spec"), *out_all.glob("calibration/*/*.spec")]
+        assert sorted(str(p.relative_to(out_all)) for p in written) == sorted(expected)
+        stamp = {"config_hash": cfg.hash(), "master_seed": cfg.master_seed}
+        for rel, spectrum in expected.items():
+            spectrum.metadata.update(stamp)
+            write_spectrum(spectrum, tmp_path / "one.spec")
+            assert (tmp_path / "one.spec").read_bytes() == (out_all / rel).read_bytes(), rel
 
     def test_threads_do_not_change_artifacts(self, cli_run, tmp_path):
         ini, out_all = cli_run

@@ -38,7 +38,15 @@ from haloscan import (
     simulate_campaign,
     write_grand_spectrum,
 )
-from haloscan.pipeline import _savgol_interp, _savgol_kernel, _signal_coefficient
+from haloscan.pipeline import (
+    MIN_SUPPORT,
+    STAGE2_CHUNK,
+    _detrend_interior,
+    _savgol_interp,
+    _savgol_kernel,
+    _signal_coefficient,
+    process_group,
+)
 from conftest import REF_NU, join_array_file, make_receiver, split_array_file
 
 # RF window sized for the 4000-bin test bands (defaults assume 30000)
@@ -599,6 +607,14 @@ class TestRescanFlagging:
         rescans = flag_rescans(make_grand(x=x, eta_sens=eta), 3.455, 90)
         assert rescans.candidates == ()
 
+    def test_partial_support_never_flagged(self):
+        x = np.zeros(500)
+        x[40] = 9.0
+        support = np.ones(500)
+        support[:45] = 0.6  # band edge: the kernel falls partly on uncovered bins
+        grand = make_grand(x=x, support=support, valid=support >= MIN_SUPPORT)
+        assert flag_rescans(grand, 3.455, 90).candidates == ()
+
     def test_to_dict_round_shape(self):
         x = np.zeros(500)
         x[77] = 4.2
@@ -719,6 +735,62 @@ class TestEndToEnd:
                 spectra, cal_results, receiver, default_lineshape,
                 settings, tau_s=600.0,
             )
+
+
+@pytest.fixture(scope="module")
+def fifty_step_group():
+    """50 overlapping 2000-bin steps under a wavy baseline, truth calibrations."""
+    plan = make_tuning_plan(4.1396e9, 4.1396e9 + 49 * 20e3, 20e3, master_seed=31)
+    receiver = make_receiver()
+    from haloscan import make_baseline_model
+    baseline = make_baseline_model(master_seed=31, n_components=(3, 5), excursion=0.3)
+    spectra, _ = simulate_campaign(
+        plan, receiver, baseline, tau_s=600.0, n_bins=2000, cal_every=100
+    )
+    cal = [truth_cal(s.step_id, s.nu_c_hz, receiver) for s in plan.steps[::7]]
+    return spectra, cal, receiver
+
+
+def one_spectrum_at_a_time(spectra, settings):
+    """The unbatched stage 2: np.mean over the stacked normalized rows for
+    stage 1, then one FFT convolution per spectrum."""
+    normalized = [s.psd / s.psd.mean() for s in spectra]
+    b1 = _savgol_interp(np.mean(normalized, axis=0), settings.if_window_bins, settings.if_order)
+    trim = max(settings.if_window_bins, settings.rf_window_bins) // 2
+    return [
+        _detrend_interior(row / b1, settings.rf_window_bins, settings.rf_order, trim)
+        for row in normalized
+    ]
+
+
+GROUP_SIZES = [1, STAGE2_CHUNK, STAGE2_CHUNK + 1, 50]
+
+
+class TestStreamedGroup:
+    @pytest.mark.parametrize("size", GROUP_SIZES)
+    def test_process_group_matches_the_chain(self, fifty_step_group, size):
+        spectra, cal, receiver = fifty_step_group
+        group, lineshape = spectra[:size], LineshapeParams()
+        grand, _, step_ids, report = process_group(
+            group, cal, receiver, lineshape, SMALL_BAND, tau_s=600.0
+        )
+        processed, chain_report = remove_structure(group, SMALL_BAND, lineshape)
+        combined = combine_spectra(processed, cal, receiver, lineshape, tau_s=600.0)
+        chain = coadd_grand(combined, chain_report)
+        for name in ("x", "eta_sens", "support", "n_contrib"):
+            assert getattr(grand, name).tobytes() == getattr(chain, name).tobytes(), name
+        assert report.t_signal == chain_report.t_signal
+        assert step_ids == tuple(s.step_id for s in group)
+
+    @pytest.mark.parametrize("size", GROUP_SIZES)
+    def test_batched_stage_two_matches_one_spectrum_at_a_time(self, fifty_step_group, size):
+        spectra, _, _ = fifty_step_group
+        group = spectra[:size]
+        processed, _ = remove_structure(group, SMALL_BAND, LineshapeParams())
+        expected = one_spectrum_at_a_time(group, SMALL_BAND)
+        assert [p.step_id for p in processed] == [s.step_id for s in group]
+        for p, excess in zip(processed, expected):
+            assert p.excess.tobytes() == excess.tobytes()
 
 
 class TestGrandFile:

@@ -33,6 +33,7 @@ relevant lags and is dropped.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -417,15 +418,9 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
     )
 
 
-@dataclass(frozen=True)
-class _StageOne:
-    """A group's shared stage-1 fit: the IF baseline every normalized
-    spectrum is divided by, the filter report and the validity mask."""
-
-    baseline: np.ndarray
-    report: FilterReport
-    valid: np.ndarray
-    trim: int
+# A group's shared stage-1 fit: the IF baseline every normalized spectrum
+# is divided by, the filter report, the validity mask and the edge trim.
+_StageOne = collections.namedtuple("_StageOne", "baseline report valid trim")
 
 
 def _normalized(spectrum, out=None):

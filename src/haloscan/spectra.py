@@ -73,7 +73,7 @@ def _check_acquisition(bin_width_hz, n_averages):
         raise DataError(f"n_averages must be >= 1, got {n_averages!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpectrumFile:
     """A spectrum file read on demand: the header is parsed once, and every
     access of ``psd`` reads and checks the column from disk.

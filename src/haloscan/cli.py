@@ -50,24 +50,39 @@ from .spectra import (
 
 log = logging.getLogger("haloscan")
 
-STAGES = ("simulate", "calibrate", "process", "exclude", "budget", "enhancement")
+# (name, help, outputs) of each stage, in run order.  A stage owns its
+# outputs, paths under the output directory: they are deleted before it
+# runs, and every file under them is listed in the manifest after.
+STAGES = (
+    ("simulate", "generate science spectra and calibration sets", ("spectra", "calibration")),
+    ("calibrate", "fit receiver parameters from calibration sets", ("calibration_results.json",)),
+    ("process", "remove structure, combine, coadd, flag and re-acquire candidates",
+     ("grand_spectrum.dat", "cut_log.json", "filter_report.json", "rescan_candidates.json",
+      "rescans")),
+    ("exclude", "compute the aggregate exclusion and windowed limits", ("exclusion",)),
+    ("budget", "tabulate the per-component noise budget", ("budget.csv", "budget_unsqueezed.csv")),
+    ("enhancement", "compare optimized squeezed and unsqueezed scan rates", ("enhancement.json",)),
+)
+STAGE_NAMES = tuple(name for name, _, _ in STAGES)
 
 _MANIFEST = "manifest.json"
 _SIDECAR = "sidecar.json"
 
 
 class Workspace:
-    """Fixed layout of the output directory."""
+    """Fixed layout of the output directory: the outputs of STAGES."""
 
     def __init__(self, root):
         self.root = root
-        self.spectra_dir = self.path("spectra")
-        self.calibration_dir = self.path("calibration")
-        self.cal_results = self.path("calibration_results.json")
-        self.grand = self.path("grand_spectrum.dat")
-        self.rescan_dir = self.path("rescans")
-        self.rescan_grand = self.path("rescans", "grand_spectrum.dat")
-        self.exclusion_dir = self.path("exclusion")
+        self.outputs = {name: tuple(self.path(p) for p in paths) for name, _, paths in STAGES}
+        self.spectra_dir, self.calibration_dir = self.outputs["simulate"]
+        (self.cal_results,) = self.outputs["calibrate"]
+        (self.grand, self.cut_log, self.filter_report, self.rescan_candidates,
+         self.rescan_dir) = self.outputs["process"]
+        self.rescan_grand = os.path.join(self.rescan_dir, "grand_spectrum.dat")
+        (self.exclusion_dir,) = self.outputs["exclude"]
+        self.budget, self.budget_unsqueezed = self.outputs["budget"]
+        (self.enhancement,) = self.outputs["enhancement"]
 
     def path(self, *parts):
         return os.path.join(self.root, *parts)
@@ -89,8 +104,9 @@ def _read_previous(path):
         return {}
 
 
-def _update_manifest(ws, cfg, stage, artifacts):
-    """Record stage completion; deterministic content, no timestamps."""
+def _update_manifest(ws, cfg, artifacts, finished_at):
+    """Record finished stages: stage -> its files in the manifest (deterministic,
+    no timestamps), stage -> its finishing time in the sidecar."""
     path = ws.path(_MANIFEST)
     manifest = {
         "format": "haloscan-manifest",
@@ -103,13 +119,11 @@ def _update_manifest(ws, cfg, stage, artifacts):
     previous = _read_previous(path)
     if previous.get("config_hash") == manifest["config_hash"]:
         manifest["stages"] = previous.get("stages", {})
-    manifest["stages"][stage] = {
-        "artifacts": sorted(os.path.relpath(p, ws.root) for p in artifacts)
-    }
+    manifest["stages"].update((stage, {"artifacts": files}) for stage, files in artifacts.items())
     write_json(manifest, path)
 
     sidecar = _read_previous(ws.path(_SIDECAR))
-    sidecar.setdefault("stages", {})[stage] = _utc_now()
+    sidecar.setdefault("stages", {}).update(finished_at)
     write_json(sidecar, ws.path(_SIDECAR))
 
 
@@ -142,27 +156,19 @@ def _acquisition(cfg):
 
 
 def _write_spectra(stamp, spectra, directory):
-    """Stamp and write science spectra as step_NNNNN.spec; returns the paths."""
+    """Stamp and write science spectra as step_NNNNN.spec."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
     for spectrum in spectra:
-        path = os.path.join(directory, f"step_{spectrum.step_id:05d}.spec")
         spectrum.metadata.update(stamp)
-        write_spectrum(spectrum, path)
-        paths.append(path)
-    return paths
+        write_spectrum(spectrum, os.path.join(directory, f"step_{spectrum.step_id:05d}.spec"))
 
 
 def _write_calsets(stamp, calsets, ws):
-    """Stamp and write calibration sets; returns their directories."""
-    directories = []
+    """Stamp and write calibration sets."""
     for calset in calsets:
-        directory = ws.calset_dir(calset.step_id)
         for spectrum in calset.spectra().values():
             spectrum.metadata.update(stamp)
-        write_calibration_set(calset, directory)
-        directories.append(directory)
-    return directories
+        write_calibration_set(calset, ws.calset_dir(calset.step_id))
 
 
 def stage_simulate(cfg, ws):
@@ -181,14 +187,13 @@ def stage_simulate(cfg, ws):
     )
     receiver, baseline = cfg.receiver(), cfg.baseline_model()
     stamp = _provenance(cfg)
-    artifacts, n_calsets = [], 0
+    n_calsets = 0
     for step in plan.steps:
         one_step = dataclasses.replace(plan, steps=(step,))
         spectra, calsets = simulate_campaign(one_step, receiver, baseline, **options)
-        artifacts += _write_spectra(stamp, spectra, ws.spectra_dir)
-        artifacts += _write_calsets(stamp, calsets, ws)
+        _write_spectra(stamp, spectra, ws.spectra_dir)
+        _write_calsets(stamp, calsets, ws)
         n_calsets += len(calsets)
-    _update_manifest(ws, cfg, "simulate", artifacts)
     log.info("wrote %d spectra, %d calibration sets", plan.n_steps, n_calsets)
 
 
@@ -213,7 +218,6 @@ def stage_calibrate(cfg, ws):
     geometry = cfg.receiver()
     results = [_calibrate_one(cfg, geometry, d) for d in dirs]
     write_calibration_results(results, ws.cal_results)
-    _update_manifest(ws, cfg, "calibrate", [ws.cal_results])
     log.info("calibrated %d sets", len(results))
 
 
@@ -222,14 +226,6 @@ def _calibrate_one(cfg, geometry, directory):
     for role, spectrum in calset.spectra().items():
         _check_seed(cfg, spectrum.metadata, os.path.join(directory, f"{role}.spec"))
     return run_calibration(calset, geometry, eta=cfg.get("receiver", "eta"))
-
-
-def _write_jsons(directory, payloads):
-    """Write each name -> payload as JSON under directory; returns the paths."""
-    paths = [os.path.join(directory, name) for name in payloads]
-    for path, payload in zip(paths, payloads.values()):
-        write_json(payload, path)
-    return paths
 
 
 def _write_grand(cfg, grand, path):
@@ -257,25 +253,19 @@ def stage_process(cfg, ws):
 
     out = process_campaign(spectra, cal_results, geometry, lineshape, settings, **analysis)
     candidates = out.rescans.candidates
-    # only process writes rescans/; a follow-up left by an earlier run must
-    # not reach exclude when this run flags no candidates
-    if os.path.isdir(ws.rescan_dir):
-        shutil.rmtree(ws.rescan_dir)
     _write_grand(cfg, out.grand, ws.grand)
     report = out.filter_report
-    artifacts = [ws.grand] + _write_jsons(ws.root, {
-        "cut_log.json": out.cut_log.to_dict(),
-        "filter_report.json": {
-            "t_signal": report.t_signal,
-            "wide_suppression": report.wide_suppression,
-            "if_window_bins": settings.if_window_bins,
-            "if_order": settings.if_order,
-            "rf_window_bins": settings.rf_window_bins,
-            "rf_order": settings.rf_order,
-            "n_spectra": report.n_spectra,
-        },
-        "rescan_candidates.json": out.rescans.to_dict(),
-    })
+    write_json(out.cut_log.to_dict(), ws.cut_log)
+    write_json({
+        "t_signal": report.t_signal,
+        "wide_suppression": report.wide_suppression,
+        "if_window_bins": settings.if_window_bins,
+        "if_order": settings.if_order,
+        "rf_window_bins": settings.rf_window_bins,
+        "rf_order": settings.rf_order,
+        "n_spectra": report.n_spectra,
+    }, ws.filter_report)
+    write_json(out.rescans.to_dict(), ws.rescan_candidates)
     log.info(
         "processed %d spectra (%d cut), %d rescan candidates",
         len(out.processed), out.cut_log.n_cut, len(candidates),
@@ -289,21 +279,16 @@ def stage_process(cfg, ws):
             plan, steps, geometry, cfg.baseline_model(),
             hypotheses=cfg.hypotheses(), **acquisition,
         )
-        artifacts += _write_spectra(
-            _provenance(cfg), rescans, os.path.join(ws.rescan_dir, "spectra")
-        )
+        _write_spectra(_provenance(cfg), rescans, os.path.join(ws.rescan_dir, "spectra"))
         grand, _, _, _ = process_group(
             rescans, cal_results, geometry, lineshape, settings, **analysis
         )
         _write_grand(cfg, grand, ws.rescan_grand)
         threshold, merge = settings.rescan_threshold_sigma, settings.merge_width_bins
-        artifacts += [ws.rescan_grand] + _write_jsons(ws.rescan_dir, {
-            "candidates.json": flag_rescans(grand, threshold, merge).to_dict(),
-            "persistence.json": {
-                "candidates": check_persistence(candidates, grand, threshold, merge)
-            },
-        })
-    _update_manifest(ws, cfg, "process", artifacts)
+        write_json(flag_rescans(grand, threshold, merge).to_dict(),
+                   os.path.join(ws.rescan_dir, "candidates.json"))
+        write_json({"candidates": check_persistence(candidates, grand, threshold, merge)},
+                   os.path.join(ws.rescan_dir, "persistence.json"))
 
 
 def stage_exclude(cfg, ws):
@@ -323,8 +308,7 @@ def stage_exclude(cfg, ws):
         xtol=cfg.get("inference", "xtol"),
         band_hz=band,
         metadata={
-            "config_hash": cfg.hash(),
-            "master_seed": cfg.master_seed,
+            **_provenance(cfg),
             "package_version": __version__,
             "n_followups": len(followups),
             "band_hz": [band[0], band[1]],
@@ -335,12 +319,6 @@ def stage_exclude(cfg, ws):
         },
     )
     write_exclusion_result(result, ws.exclusion_dir)
-    artifacts = [
-        os.path.join(ws.exclusion_dir, name)
-        for name in ("exclusion.json", "exclusion_curve.csv",
-                     "window_contours.csv", "window_surface.csv")
-    ]
-    _update_manifest(ws, cfg, "exclude", artifacts)
     if result.g_star is None:
         log.warning("exclusion target not bracketed by the coupling grid")
     else:
@@ -369,12 +347,8 @@ def stage_budget(cfg, ws):
         "acquisition", "bin_width_hz"
     )
     detunings = np.linspace(-half_span, half_span, 3001)
-    artifacts = []
-    for name, params in (("budget.csv", squeezed), ("budget_unsqueezed.csv", unsqueezed)):
-        path = ws.path(name)
+    for path, params in ((ws.budget, squeezed), (ws.budget_unsqueezed, unsqueezed)):
         _write_budget_csv(noise_budget(params, detunings, hyp), path)
-        artifacts.append(path)
-    _update_manifest(ws, cfg, "budget", artifacts)
     log.info("wrote noise budgets over +-%.0f Hz", half_span)
 
 
@@ -392,9 +366,7 @@ def stage_enhancement(cfg, ws):
             "config_hash": cfg.hash(),
         }
     )
-    path = ws.path("enhancement.json")
-    write_json(report, path)
-    _update_manifest(ws, cfg, "enhancement", [path])
+    write_json(report, ws.enhancement)
     log.info("scan-rate ratio %.3f at couplings %.3f / %.3f",
              report["rate_ratio"], report["beta_squeezed"], report["beta_unsqueezed"])
 
@@ -403,9 +375,39 @@ def stage_enhancement(cfg, ws):
 
 
 def _run_stage(stage, cfg, ws):
+    """Delete the stage's outputs, run it, and return every file under them,
+    sorted and relative to the output directory."""
+    outputs = ws.outputs[stage]
+    manifest = _read_previous(ws.path(_MANIFEST))
+    if manifest.get("stages", {}).pop(stage, None) is not None:
+        write_json(manifest, ws.path(_MANIFEST))  # if the stage fails, no entry lists its files
+    for path in outputs:
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
     # Looked up when called, not bound in a table at import, so that a
     # wrapper installed on the module attribute (a tracer, a test) is used.
     globals()[f"stage_{stage}"](cfg, ws)
+    written = [p for p in outputs if os.path.isfile(p)]
+    for path in outputs:
+        written += (os.path.join(d, n) for d, _, names in os.walk(path) for n in names)
+    root = ws.path("")  # every output starts with it; cheaper than os.path.relpath
+    return sorted(p[len(root):] for p in written)
+
+
+def _run_stages(stages, cfg, ws):
+    """Run stages in order; record those that finish, also when a later one fails.
+    Once per command, not per stage: each record creates two files."""
+    artifacts, finished_at = {}, {}
+    try:
+        for stage in stages:
+            log.info("stage %s", stage)
+            artifacts[stage] = _run_stage(stage, cfg, ws)
+            finished_at[stage] = _utc_now()
+    finally:
+        if artifacts:
+            _update_manifest(ws, cfg, artifacts, finished_at)
 
 
 def _add_common(parser):
@@ -426,22 +428,17 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"haloscan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    descriptions = {
-        "simulate": "generate science spectra and calibration sets",
-        "calibrate": "fit receiver parameters from calibration sets",
-        "process": "remove structure, combine, coadd, flag and re-acquire candidates",
-        "exclude": "compute the aggregate exclusion and windowed limits",
-        "budget": "tabulate the per-component noise budget",
-        "enhancement": "compare optimized squeezed and unsqueezed scan rates",
-        "all": "run every stage in order",
-    }
-    for name in STAGES + ("all",):
-        p = sub.add_parser(name, help=descriptions[name])
-        _add_common(p)
+    for name, help_text, _ in STAGES + (("all", "run every stage in order", ()),):
+        _add_common(sub.add_parser(name, help=help_text))
     p = sub.add_parser("run", help="run one named stage")
     _add_common(p)
-    p.add_argument("--stage", required=True, choices=STAGES + ("all",))
+    p.add_argument("--stage", required=True, choices=STAGE_NAMES + ("all",))
     return parser
+
+
+# built once, at import: about 1 ms of argparse that each in-process call of
+# main() would otherwise pay again
+_PARSER = build_parser()
 
 
 def _configure_logging():
@@ -477,8 +474,7 @@ def main(argv=None):
         _configure_logging()
     except ConfigError as exc:
         return _fail(exc, 2)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     command = args.command
     if command == "run":
         command = args.stage
@@ -489,10 +485,7 @@ def main(argv=None):
         out_dir = args.out if args.out is not None else cfg.get("output", "directory")
         ws = Workspace(out_dir)
         os.makedirs(ws.root, exist_ok=True)
-        stages = STAGES if command == "all" else (command,)
-        for stage in stages:
-            log.info("stage %s", stage)
-            _run_stage(stage, cfg, ws)
+        _run_stages(STAGE_NAMES if command == "all" else (command,), cfg, ws)
     except ConfigError as exc:
         return _fail(exc, 2)
     except NumericError as exc:

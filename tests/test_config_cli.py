@@ -48,6 +48,8 @@ SMALL_INI = textwrap.dedent(
     rf_order = 4
     """
 )
+# The first three of SMALL_INI's steps.
+THREE_STEP_INI = SMALL_INI.replace("hi_hz = 4.140360e9", "hi_hz = 4.140170e9")
 
 
 def write_ini(path, text):
@@ -506,6 +508,57 @@ class TestDeterminismAndStages:
         assert read_json(out / "rescan_candidates.json")["candidates"] == []
         assert not (out / "rescans").exists()
         assert read_json(out / "exclusion" / "exclusion.json")["metadata"]["n_followups"] == 0
+
+    def test_resimulated_smaller_plan_leaves_no_stale_steps(self, cli_run, tmp_path):
+        # simulate deletes the larger plan's spectra and calibration sets,
+        # so the later stages see the smaller plan only
+        _, out_all = cli_run
+        ini = write_ini(tmp_path / "three.ini", THREE_STEP_INI)
+        out = tmp_path / "shrunk"
+        shutil.copytree(out_all, out)
+        for stage in ("simulate", "calibrate", "process", "exclude"):
+            assert run_cli(stage, "--config", ini, "--out", out) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli("all", "--config", ini, "--out", fresh) == 0
+        assert read_json(fresh / "cut_log.json")["kept_ids"] == [0, 1, 2]
+        for rel in ("cut_log.json", "exclusion/exclusion.json"):
+            assert read_json(out / rel) == read_json(fresh / rel), rel
+
+    def test_failed_stage_leaves_no_manifest_entry(self, cli_run, tmp_path, capsys):
+        ini, out_all = cli_run
+        out = tmp_path / "broken"
+        shutil.copytree(out_all, out)
+        (out / "calibration_results.json").write_text("{not json")
+        assert run_cli("process", "--config", ini, "--out", out) == 4
+        assert stderr_payload(capsys)["error"] == "DataError"
+        assert "process" not in read_json(out / "manifest.json")["stages"]
+        assert not (out / "grand_spectrum.dat").exists()
+
+    def test_stages_before_a_failure_are_recorded(self, tmp_path, capsys, monkeypatch):
+        ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
+
+        def explode(cfg, ws):
+            raise NumericError("no grand spectrum today")
+
+        monkeypatch.setattr("haloscan.cli.stage_process", explode)
+        out = tmp_path / "o"
+        assert run_cli("all", "--config", ini, "--out", out) == 3
+        assert stderr_payload(capsys)["exit_code"] == 3
+        assert set(read_json(out / "manifest.json")["stages"]) == {"simulate", "calibrate"}
+        assert set(read_json(out / "sidecar.json")["stages"]) == {"simulate", "calibrate"}
+
+    def test_manifest_lists_every_artifact_once(self, cli_run):
+        _, out = cli_run
+        listed = [
+            rel
+            for stage in read_json(out / "manifest.json")["stages"].values()
+            for rel in stage["artifacts"]
+        ]
+        on_disk = {
+            str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()
+        } - {"manifest.json", "sidecar.json"}
+        assert len(listed) == len(set(listed))
+        assert set(listed) == on_disk
 
     def test_run_subcommand_maps_to_stage(self, cli_run, tmp_path):
         ini, _ = cli_run

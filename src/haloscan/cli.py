@@ -96,12 +96,21 @@ def _utc_now():
 
 
 def _read_previous(path):
-    """A JSON file an earlier stage wrote, or {} if it is missing or unreadable."""
+    """The JSON object an earlier stage wrote, or {} if the file is missing,
+    unreadable or holds anything but an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            previous = json.load(fh)
+    except (OSError, ValueError):  # ValueError: bad JSON or bad UTF-8
         return {}
+    return previous if isinstance(previous, dict) else {}
+
+
+def _stages(record):
+    """The "stages" object of a manifest or sidecar: the record's own, or a
+    new {} if it has none or it is not an object."""
+    stages = record.get("stages")
+    return stages if isinstance(stages, dict) else {}
 
 
 def _update_manifest(ws, cfg, artifacts, finished_at):
@@ -118,12 +127,13 @@ def _update_manifest(ws, cfg, artifacts, finished_at):
     }
     previous = _read_previous(path)
     if previous.get("config_hash") == manifest["config_hash"]:
-        manifest["stages"] = previous.get("stages", {})
+        manifest["stages"] = _stages(previous)
     manifest["stages"].update((stage, {"artifacts": files}) for stage, files in artifacts.items())
     write_json(manifest, path)
 
     sidecar = _read_previous(ws.path(_SIDECAR))
-    sidecar.setdefault("stages", {}).update(finished_at)
+    sidecar["stages"] = _stages(sidecar)
+    sidecar["stages"].update(finished_at)
     write_json(sidecar, ws.path(_SIDECAR))
 
 
@@ -270,6 +280,7 @@ def stage_process(cfg, ws):
         "processed %d spectra (%d cut), %d rescan candidates",
         len(out.processed), out.cut_log.n_cut, len(candidates),
     )
+    del out  # frees the initial grand spectrum before the rescans are processed
 
     if candidates:
         plan = cfg.tuning_plan()
@@ -379,7 +390,7 @@ def _run_stage(stage, cfg, ws):
     sorted and relative to the output directory."""
     outputs = ws.outputs[stage]
     manifest = _read_previous(ws.path(_MANIFEST))
-    if manifest.get("stages", {}).pop(stage, None) is not None:
+    if _stages(manifest).pop(stage, None) is not None:
         write_json(manifest, ws.path(_MANIFEST))  # if the stage fails, no entry lists its files
     for path in outputs:
         if os.path.isdir(path):

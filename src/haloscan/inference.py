@@ -15,6 +15,8 @@ coupling a vectorised log-mean-exp over the n_windows windows, shifted by
 each window's largest ln U.  The aggregate curve is the size-weighted pool
 of the window means, the bisection for g* reuses (a, b), and g* and the
 window contours take their grid cell from one last-crossing rule.
+Besides the scans, a run holds (a, b), the included bin indices until the
+windows are cut, and two buffers over the included bins for the grid loop.
 exclusion_curve, exclusion_coupling and subaggregate_windows each return
 part of one run_exclusion call; the first two pool a single window.
 """
@@ -56,6 +58,11 @@ def _coupling_grid(g_grid):
     return grid
 
 
+# Rescan bins are aligned onto the initial scan this many at a time, so
+# that no index array the size of the grid is made.
+ALIGN_CHUNK = 1 << 16
+
+
 def _coefficients(initial, rescans):
     """Per-included-bin (a, b) with ln U = a * g^2 - b * g^4.
 
@@ -68,10 +75,10 @@ def _coefficients(initial, rescans):
     if index_of.size == 0:
         raise DataError("grand spectrum has no included bins")
     eta = initial.eta_sens[mask]
-    a = eta * initial.x[mask]
-    b = 0.5 * eta**2
-    position = np.full(initial.x.size, -1, dtype=np.int64)
-    position[index_of] = np.arange(index_of.size)
+    a = initial.x[mask]
+    a *= eta
+    b = np.square(eta, out=eta)
+    b *= 0.5
     db = initial.bin_width_hz
     for grand in rescans:
         if grand.bin_width_hz != db:
@@ -79,18 +86,18 @@ def _coefficients(initial, rescans):
         off = (grand.rf_start_hz - initial.rf_start_hz) / db
         if abs(off - round(off)) > 1e-6:
             raise DataError("rescan grid not aligned to the initial lattice")
-        sub = np.flatnonzero(included(grand))
-        idx = sub + int(round(off))
-        inside = (idx >= 0) & (idx < position.size)
-        rows = position[idx[inside]]
-        hit = rows >= 0
-        src = sub[inside][hit]
-        eta_r = grand.eta_sens[src]
-        a[rows[hit]] += eta_r * grand.x[src]
-        b[rows[hit]] += 0.5 * eta_r**2
+        shift = int(round(off))  # rescan bin i lies on initial bin i + shift
+        counted = included(grand)
+        for lo in range(max(0, -shift), min(grand.x.size, mask.size - shift), ALIGN_CHUNK):
+            hi = min(lo + ALIGN_CHUNK, grand.x.size, mask.size - shift)
+            src = lo + np.flatnonzero(counted[lo:hi] & mask[lo + shift : hi + shift])
+            rows = np.searchsorted(index_of, src + shift)
+            eta_r = grand.eta_sens[src]
+            a[rows] += eta_r * grand.x[src]
+            b[rows] += 0.5 * eta_r**2
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if np.any(bad):
-        first = initial.frequencies[index_of[np.argmax(bad)]]
+        first = _frequency(initial, index_of[np.argmax(bad)])
         raise DataError(
             f"non-finite x or eta_sens in {int(bad.sum())} included bins "
             f"(first at {first:.1f} Hz)"
@@ -98,23 +105,39 @@ def _coefficients(initial, rescans):
     return a, b, index_of
 
 
+def _frequency(grand, index):
+    """``grand.frequencies[index]``, without the whole array."""
+    return grand.rf_start_hz + index * grand.bin_width_hz
+
+
 def _log_means(a, b, grid, sizes):
     """ln of the mean update over groups of bins, for every coupling.
 
-    Group k is the next run of sizes[k] bins; returns a (groups, couplings)
-    array.  Works one coupling at a time: a couplings x bins matrix would
-    cost tens of MB on a full campaign.
+    Group k is the next run of sizes[k] bins, the first groups one bin
+    longer than the rest, as ``_windows`` cuts them; returns a (groups,
+    couplings) array.  Works one coupling at a time in two buffers the
+    size of a: a couplings x bins matrix would cost tens of MB on a full
+    campaign.
     """
     starts = np.cumsum(sizes) - sizes
+    log_u, quartic = np.empty_like(a), np.empty_like(a)
+    # the groups as the rows of two 2-D views of log_u
+    base = int(sizes[-1])
+    n_long = int(np.count_nonzero(sizes > base))
+    cut = n_long * (base + 1)
+    long, short = log_u[:cut].reshape(n_long, base + 1), log_u[cut:].reshape(-1, base)
     out = np.empty((sizes.size, len(grid)))
     for j, g in enumerate(grid):
         G = g * g
-        log_u = G * a - G * G * b
+        np.multiply(G, a, out=log_u)
+        log_u -= np.multiply(G * G, b, out=quartic)
         # each group's largest term becomes exactly 1, so its sum cannot
         # overflow or underflow to zero
         peak = np.maximum.reduceat(log_u, starts)
-        shifted = np.exp(log_u - np.repeat(peak, sizes))
-        out[:, j] = peak + np.log(np.add.reduceat(shifted, starts) / sizes)
+        long -= peak[:n_long, None]
+        short -= peak[n_long:, None]
+        np.exp(log_u, out=log_u)
+        out[:, j] = peak + np.log(np.add.reduceat(log_u, starts) / sizes)
     return out
 
 
@@ -161,8 +184,8 @@ def _windows(initial, index_of, n_windows):
     base, extra = divmod(index_of.size, n_windows)
     sizes = base + (np.arange(n_windows) < extra)
     ends = np.cumsum(sizes)
-    freqs = initial.frequencies[index_of]
-    return sizes, freqs[ends - sizes], freqs[ends - 1]
+    first, last = index_of[ends - sizes], index_of[ends - 1]
+    return sizes, _frequency(initial, first), _frequency(initial, last)
 
 
 def _contours(grid, surface, target):
@@ -212,27 +235,33 @@ def run_exclusion(
             raise ConfigError(f"aggregation band must satisfy lo < hi, got {band_hz}")
         # Coverage tapers off beyond the tuned range; bins out there carry
         # near-zero sensitivity and would only dilute the aggregate.
-        inband = (initial.frequencies >= lo_hz) & (initial.frequencies <= hi_hz)
-        if not np.any(initial.valid & inband):
+        freqs = initial.frequencies
+        valid = freqs >= lo_hz
+        valid &= freqs <= hi_hz
+        del freqs
+        valid &= initial.valid
+        if not valid.any():
             raise DataError("no usable bins inside the aggregation band")
-        initial = dataclasses.replace(initial, valid=initial.valid & inband)
+        initial = dataclasses.replace(initial, valid=valid)
     _check_limits(target, xtol)
     grid = _coupling_grid(g_grid)
     a, b, index_of = _coefficients(initial, rescans)
     sizes, lo, hi = _windows(initial, index_of, n_windows)
+    n_bins = index_of.size
+    del index_of
     log_surface = _log_means(a, b, grid, sizes)
     # the aggregate is the size-weighted mean of the window means; the
     # largest window term at each coupling becomes exactly 1
     peak = log_surface.max(axis=0)
     pooled = (sizes[:, None] * np.exp(log_surface - peak)).sum(axis=0)
-    curve = np.exp(peak + np.log(pooled / index_of.size))
+    curve = np.exp(peak + np.log(pooled / n_bins))
     surface = np.exp(log_surface)
     return ExclusionResult(
         g_grid=grid,
         aggregate_u=curve,
         g_star=_root(a, b, grid, curve, target, xtol),
         target=target,
-        n_bins=int(index_of.size),
+        n_bins=int(n_bins),
         window_lo=lo,
         window_hi=hi,
         window_surface=surface,

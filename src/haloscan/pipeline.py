@@ -589,6 +589,10 @@ def coadd_grand(combined, report):
     the measured attenuation refer to the same shape.  Bins whose kernel
     weight falls partly on uncovered bins keep their standardized x but
     are flagged invalid (see ``_valid``).
+
+    No more than four arrays the size of the grid are held at once: one
+    zero-padded input buffer, refilled for each correlation, and the
+    correlations, which become x, eta_sens and support in place.
     """
     w = report.kernel
     span = w.size
@@ -605,21 +609,31 @@ def coadd_grand(combined, report):
     w_norm2 = float(wac[span - 1])
     lam = float(np.sum(wac * rho_at))
 
-    pad = np.zeros(span - 1)
-    num_p = np.concatenate([combined.num, pad])
-    den_p = np.concatenate([combined.den, pad])
-    cover_p = np.concatenate([(combined.den > 0).astype(float), pad])
+    padded = np.zeros(n_rf + span - 1)
+    head = padded[:n_rf]  # the span - 1 bins after it stay 0
+    head[:] = combined.num
+    x = np.correlate(padded, w, mode="valid")
+    head[:] = combined.den
+    eta = np.correlate(padded, w**2, mode="valid")  # sum_k w_k^2 den_{q+k}
 
-    raw = np.correlate(num_p, w, mode="valid")
-    w2d = np.correlate(den_p, w**2, mode="valid")
-    support = np.correlate(cover_p, w, mode="valid") / w.sum()
-
-    var = lam * w2d / w_norm2
+    var = np.multiply(lam, eta, out=head)
+    var /= w_norm2
     ok = var > 0
-    x = np.zeros(n_rf)
-    eta = np.zeros(n_rf)
-    x[ok] = raw[ok] / np.sqrt(var[ok])
-    eta[ok] = report.t_signal * np.sqrt(w2d[ok] * w_norm2 / lam)
+    skip = ~ok
+    np.sqrt(var, out=var, where=ok)
+    np.divide(x, var, out=x, where=ok)
+    x[skip] = 0.0
+    eta *= w_norm2
+    np.divide(eta, lam, out=eta, where=ok)
+    np.sqrt(eta, out=eta, where=ok)
+    eta *= report.t_signal
+    eta[skip] = 0.0
+    del ok, skip, var
+
+    np.greater(combined.den, 0, out=head)  # coverage, 1.0 or 0.0
+    support = np.correlate(padded, w, mode="valid")
+    del padded, head
+    support /= w.sum()
     return GrandSpectrum(
         rf_start_hz=combined.rf_start_hz,
         bin_width_hz=combined.bin_width_hz,
@@ -789,7 +803,7 @@ def read_grand_spectrum(path):
         bin_width_hz=db,
         x=columns["x"],
         eta_sens=columns["eta_sens"],
-        n_contrib=columns["n_contrib"].astype(np.int32),
+        n_contrib=columns["n_contrib"].astype(np.int32, copy=False),
         support=columns["support"],
         valid=_valid(columns["eta_sens"], columns["support"]),
         metadata=metadata,

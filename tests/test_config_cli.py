@@ -580,6 +580,23 @@ class TestDeterminismAndStages:
         assert set(manifest["stages"]) == {"enhancement"}
         assert manifest["master_seed"] == 999
 
+    @pytest.mark.parametrize("name", ["manifest.json", "sidecar.json"])
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"stages": []}'])
+    def test_non_object_record_is_replaced(self, tmp_path, name, text):
+        # valid JSON that is not a manifest or sidecar counts as no record
+        ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_text(text)
+        assert run_cli("budget", "--config", ini, "--out", out) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["format"] == "haloscan-manifest"
+        assert manifest["config_hash"] == load_config(ini).hash()
+        assert manifest["stages"] == {
+            "budget": {"artifacts": ["budget.csv", "budget_unsqueezed.csv"]}
+        }
+        assert set(read_json(out / "sidecar.json")["stages"]) == {"budget"}
+
 
 def stderr_payload(capsys):
     err = capsys.readouterr().err.strip().splitlines()

@@ -522,6 +522,27 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(curve, want_curve, rtol=1e-11, atol=0)
         np.testing.assert_allclose(surface, want_surface, rtol=1e-11, atol=0)
 
+    @pytest.mark.parametrize("chunk", [7, 64, 1000])
+    def test_alignment_chunks(self, scans, chunk, monkeypatch):
+        # a third rescan starts below the initial grid; (a, b) are the same
+        # bits in any chunk size, and ln U = a - b at g = 1 is the oracle's
+        initial, rescans = scans
+        rng = np.random.default_rng(17)
+        below = make_grand(
+            x=rng.standard_normal(300),
+            eta_sens=rng.uniform(0.3, 1.0, 300),
+            rf_start=initial.rf_start_hz - 200 * DB,
+        )
+        rescans = [*rescans, below]
+        a, b, index_of = inference._coefficients(initial, rescans)
+        monkeypatch.setattr(inference, "ALIGN_CHUNK", chunk)
+        a_chunked, b_chunked, index_chunked = inference._coefficients(initial, rescans)
+        np.testing.assert_array_equal(a_chunked, a)
+        np.testing.assert_array_equal(b_chunked, b)
+        np.testing.assert_array_equal(index_chunked, index_of)
+        want = oracle_log_updates(initial, rescans, 1.0)
+        np.testing.assert_allclose(a - b, want, rtol=1e-12, atol=1e-12)
+
     def test_g_star_equal(self, scans):
         initial, rescans = scans
         grid = np.geomspace(0.5, 5.0, 60)

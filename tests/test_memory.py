@@ -1,17 +1,22 @@
-"""Peak memory of the simulate and process stages: a few spectra, not the campaign.
+"""Peak memory of the stages: a few spectra, not the campaign, and a few
+arrays the size of the RF grid, not a dozen.
 
 tracemalloc sees numpy's allocations, so the peak traced bytes inside a
-stage are deterministic.  The bounds are fixed multiples of one spectrum
-and do not grow with the 40 steps of the campaign.
+stage are deterministic.  The stage bounds are fixed multiples of one
+spectrum and do not grow with the 40 steps of the campaign; the coadd and
+exclusion bounds are multiples of one float64 array over the RF grid.
 """
 
 import os
 import textwrap
 import tracemalloc
 
-from haloscan import cli
+import numpy as np
+
+from haloscan import cli, pipeline
 from haloscan.config import load_config
-from haloscan.pipeline import STAGE2_CHUNK
+from haloscan.inference import run_exclusion
+from haloscan.pipeline import STAGE2_CHUNK, GrandSpectrum
 
 N_BINS = 4000
 SPECTRUM_BYTES = 8 * N_BINS
@@ -48,6 +53,12 @@ SIMULATE_BOUND = 30 * SPECTRUM_BYTES
 # measurement, the coadd over the RF grid and the rescans.
 PROCESS_BOUND = (7 * STAGE2_CHUNK + 40) * SPECTRUM_BYTES
 
+# In float64 arrays over the RF grid.  The coadd's result alone is about
+# 3.6 (x, eta_sens and support, n_contrib and valid); the exclusion keeps
+# (a, b) per included bin and, over the couplings, two buffers of that size.
+COADD_BOUND = 6
+EXCLUSION_BOUND = 6
+
 
 def peak_traced_bytes(stage, cfg, ws):
     tracemalloc.start()
@@ -72,3 +83,56 @@ def test_stage_peaks_do_not_scale_with_steps(tmp_path):
 
     assert simulate_peak < SIMULATE_BOUND, simulate_peak / SPECTRUM_BYTES
     assert process_peak < PROCESS_BOUND, process_peak / SPECTRUM_BYTES
+
+
+def test_coadd_holds_few_grid_arrays(tmp_path, monkeypatch):
+    ini = tmp_path / "forty.ini"
+    ini.write_text(FORTY_STEPS_INI)
+    cfg = load_config(str(ini))
+    ws = cli.Workspace(str(tmp_path / "out"))
+    os.makedirs(ws.root)
+    cli.stage_simulate(cfg, ws)
+    cli.stage_calibrate(cfg, ws)
+
+    peaks = []
+    coadd_grand = pipeline.coadd_grand
+
+    def traced(combined, report):
+        tracemalloc.start()
+        try:
+            return coadd_grand(combined, report)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * combined.num.size))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pipeline, "coadd_grand", traced)
+    cli.stage_process(cfg, ws)
+    assert peaks  # the initial scan, then the rescans if any
+    assert max(peaks) <= COADD_BOUND, peaks
+
+
+def test_exclusion_holds_few_grid_arrays():
+    n_rf = 200_000
+    rng = np.random.default_rng(5)
+
+    def grand(rf_start_hz, n):
+        return GrandSpectrum(
+            rf_start_hz=rf_start_hz,
+            bin_width_hz=100.0,
+            x=rng.standard_normal(n),
+            eta_sens=rng.uniform(0.5, 1.0, n),
+            n_contrib=np.full(n, 4, dtype=np.int32),
+            support=np.ones(n),
+            valid=np.ones(n, dtype=bool),
+        )
+
+    initial = grand(4.1e9, n_rf)
+    rescan = grand(4.1e9 + 100.0 * 5000, n_rf - 20_000)  # 5,000 bins up the grid
+    tracemalloc.start()
+    try:
+        result = run_exclusion(initial, (rescan,), n_windows=100)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * n_rf)
+    finally:
+        tracemalloc.stop()
+    assert result.g_star is not None
+    assert peak <= EXCLUSION_BOUND, peak

@@ -183,7 +183,7 @@ def canonical_kernel(nu_ref_hz, params):
     """
     _, weights = lineshape_kernel(nu_ref_hz, params, grid_origin=nu_ref_hz)
     cdf = np.cumsum(weights)
-    stop = int(np.searchsorted(cdf, MIN_KERNEL_COVERAGE)) + 1
+    stop = np.count_nonzero(cdf < MIN_KERNEL_COVERAGE) + 1  # cdf does not decrease
     return weights[:stop]
 
 

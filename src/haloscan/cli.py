@@ -431,8 +431,16 @@ def _add_common(parser):
                              "and its output does not depend on it")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so that they
+    print the one JSON object of every failure; the subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haloscan",
         description="Simulate and analyze a squeezed-receiver cavity dark matter scan.",
     )
@@ -485,11 +493,9 @@ def main(argv=None):
         _configure_logging()
     except ConfigError as exc:
         return _fail(exc, 2)
-    args = _PARSER.parse_args(argv)
-    command = args.command
-    if command == "run":
-        command = args.stage
     try:
+        args = _PARSER.parse_args(argv)
+        command = args.stage if args.command == "run" else args.command
         cfg = load_config(args.config, seed_override=args.seed_override)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -9,13 +9,16 @@ g^2: ln U = a * g^2 - b * g^4 with a = sum(eta_sens * x) and
 b = sum(eta_sens^2) / 2, summed over the initial scan and the aligned
 rescans (the Gaussian prior update of Palken et al., "Improved analysis
 framework for axion dark matter searches", PRD 101, 123011 (2020)).
-run_exclusion builds (a, b) for every included bin in one alignment pass
-over the initial scan and the rescans, then makes one grid loop: at each
-coupling a vectorised log-mean-exp over the n_windows windows, shifted by
-each window's largest ln U.  The aggregate curve is the size-weighted pool
-of the window means, the bisection for g* reuses (a, b), and g* and the
-window contours take their grid cell from one last-crossing rule.
-Besides the scans, a run holds (a, b), the included bin indices until the
+run_exclusion sums a and b over the whole initial grid and adds each
+rescan over the slice of initial bins it overlaps, at its whole-bin offset
+(``pipeline.lattice_offset``) and where both scans include the bin.  It
+gathers the two sums at the included bins, one after the other, then makes
+one grid loop: at each coupling a vectorised log-mean-exp over the
+n_windows windows, shifted by each window's largest ln U.  The aggregate
+curve is the size-weighted pool of the window means, the bisection for g*
+reuses (a, b), and g* and the window contours take their grid cell from one
+last-crossing rule.  Besides the scans, a run holds the two grid-sized sums
+until they are gathered, then (a, b), the included bin indices until the
 windows are cut, and two buffers over the included bins for the grid loop.
 exclusion_curve, exclusion_coupling and subaggregate_windows each return
 part of one run_exclusion call; the first two pool a single window.
@@ -33,7 +36,7 @@ import numpy as np
 
 from .artifacts import atomic_open, write_json
 from .errors import ConfigError, DataError
-from .pipeline import included
+from .pipeline import included, lattice_offset
 
 DEFAULT_TARGET = 0.1
 DEFAULT_G_GRID = (0.5, 5.0, 200)
@@ -58,43 +61,27 @@ def _coupling_grid(g_grid):
     return grid
 
 
-# Rescan bins are aligned onto the initial scan this many at a time, so
-# that no index array the size of the grid is made.
-ALIGN_CHUNK = 1 << 16
-
-
 def _coefficients(initial, rescans):
     """Per-included-bin (a, b) with ln U = a * g^2 - b * g^4.
 
     a = sum(eta * x) and b = sum(eta^2) / 2 over the initial scan and every
-    aligned rescan bin that lands on an included initial bin; rescan bins
-    elsewhere carry no weight.  Also returns the included bin indices.
+    rescan bin that lands on an included initial bin; rescan bins
+    elsewhere carry no weight.  Summed on the initial grid, by slice, then
+    gathered at the included bins.  Also returns the included bin indices.
     """
     mask = included(initial)
-    index_of = np.flatnonzero(mask)
-    if index_of.size == 0:
+    if not mask.any():
         raise DataError("grand spectrum has no included bins")
-    eta = initial.eta_sens[mask]
-    a = initial.x[mask]
-    a *= eta
-    b = np.square(eta, out=eta)
+    a = np.multiply(initial.x, initial.eta_sens, out=np.zeros(mask.size), where=mask)
+    b = np.square(initial.eta_sens, out=np.zeros(mask.size), where=mask)
     b *= 0.5
-    db = initial.bin_width_hz
-    for grand in rescans:
-        if grand.bin_width_hz != db:
-            raise DataError("rescan bin width differs from initial scan")
-        off = (grand.rf_start_hz - initial.rf_start_hz) / db
-        if abs(off - round(off)) > 1e-6:
-            raise DataError("rescan grid not aligned to the initial lattice")
-        shift = int(round(off))  # rescan bin i lies on initial bin i + shift
-        counted = included(grand)
-        for lo in range(max(0, -shift), min(grand.x.size, mask.size - shift), ALIGN_CHUNK):
-            hi = min(lo + ALIGN_CHUNK, grand.x.size, mask.size - shift)
-            src = lo + np.flatnonzero(counted[lo:hi] & mask[lo + shift : hi + shift])
-            rows = np.searchsorted(index_of, src + shift)
-            eta_r = grand.eta_sens[src]
-            a[rows] += eta_r * grand.x[src]
-            b[rows] += 0.5 * eta_r**2
+    for k, grand in enumerate(rescans):
+        shift = lattice_offset(grand.rf_start_hz, grand.bin_width_hz, initial.rf_start_hz,
+                               initial.bin_width_hz, f"rescan grand spectrum {k}")
+        _add_rescan(a, b, mask, grand, shift)
+    a = a[mask]
+    b = b[mask]
+    index_of = np.flatnonzero(mask)
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if np.any(bad):
         first = _frequency(initial, index_of[np.argmax(bad)])
@@ -103,6 +90,21 @@ def _coefficients(initial, rescans):
             f"(first at {first:.1f} Hz)"
         )
     return a, b, index_of
+
+
+def _add_rescan(a, b, mask, grand, shift):
+    """Add a rescan's eta * x to a and eta^2 / 2 to b over the initial
+    bins it overlaps that ``mask`` and the rescan both include."""
+    # rescan bins lo..hi-1 lie on initial bins lo+shift..hi+shift-1
+    lo, hi = max(0, -shift), min(grand.x.size, mask.size - shift)
+    if lo >= hi:
+        return
+    on = slice(lo + shift, hi + shift)
+    sel = included(grand)[lo:hi] & mask[on]
+    eta, term = grand.eta_sens[lo:hi], np.empty(hi - lo)
+    np.add(a[on], np.multiply(eta, grand.x[lo:hi], out=term, where=sel), out=a[on], where=sel)
+    np.square(eta, out=term, where=sel)
+    np.add(b[on], np.multiply(0.5, term, out=term, where=sel), out=b[on], where=sel)
 
 
 def _frequency(grand, index):
@@ -342,6 +344,6 @@ def read_exclusion_result(path):
         raise DataError(f"cannot read exclusion result: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
-    if payload.get("format") != "haloscan-exclusion":
+    if not isinstance(payload, dict) or payload.get("format") != "haloscan-exclusion":
         raise DataError(f"{path}: not an exclusion result file")
     return payload

@@ -236,15 +236,7 @@ class RescanList:
     def to_dict(self):
         return {
             "threshold_sigma": self.threshold_sigma,
-            "candidates": [
-                {
-                    "nu_hz": c.nu_hz,
-                    "rf_index": c.rf_index,
-                    "significance": c.significance,
-                    "n_merged": c.n_merged,
-                }
-                for c in self.candidates
-            ],
+            "candidates": [dataclasses.asdict(c) for c in self.candidates],
         }
 
 
@@ -511,12 +503,21 @@ def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
     return a_ref / spectrum.bin_width_hz * visibility(receiver, hyp, freqs - nu_c)
 
 
-def _lattice_offset(spectrum, rf_start_hz, db):
-    off = (spectrum.nu_start_hz - rf_start_hz) / db
-    if abs(off - round(off)) > 1e-6:
+def lattice_offset(start_hz, bin_width_hz, grid_start_hz, grid_bin_width_hz, name):
+    """The bin of a grid on which another grid's first bin lies.
+
+    The one rule for placing one bin grid on another: the bin widths must
+    be equal and the offset a whole number of bins, to within 1e-6; a
+    DataError naming the placed grid (``name``) is raised otherwise.  Bin
+    i of the placed grid then lies on bin i + offset of the other.
+    """
+    if bin_width_hz != grid_bin_width_hz:
         raise DataError(
-            f"step {spectrum.step_id}: band start not on the common {db} Hz lattice"
+            f"{name}: bin width {bin_width_hz} Hz differs from the {grid_bin_width_hz} Hz grid"
         )
+    off = (start_hz - grid_start_hz) / grid_bin_width_hz
+    if abs(off - round(off)) > 1e-6:
+        raise DataError(f"{name}: band start not on the common {grid_bin_width_hz} Hz lattice")
     return int(round(off))
 
 
@@ -524,7 +525,10 @@ def _empty_combination(spectra):
     """A zero CombinedSpectrum on the RF grid that covers every band."""
     db = spectra[0].bin_width_hz
     rf_start = min(s.nu_start_hz for s in spectra)
-    n_rf = max(_lattice_offset(s, rf_start, db) + s.n_bins for s in spectra)
+    n_rf = max(
+        lattice_offset(s.nu_start_hz, s.bin_width_hz, rf_start, db, f"step {s.step_id}") + s.n_bins
+        for s in spectra
+    )
     return CombinedSpectrum(
         rf_start_hz=rf_start,
         bin_width_hz=db,
@@ -544,23 +548,23 @@ def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_r
     """
     if not processed:
         raise DataError("nothing to combine")
-    db = processed[0].bin_width_hz
-    lineshape.check_bin_width(db)
+    lineshape.check_bin_width(processed[0].bin_width_hz)
     combined = _into if _into is not None else _empty_combination(processed)
-    offsets = [_lattice_offset(p, combined.rf_start_hz, db) for p in processed]
+    offsets = [
+        lattice_offset(p.nu_start_hz, p.bin_width_hz, combined.rf_start_hz,
+                       combined.bin_width_hz, f"step {p.step_id}")
+        for p in processed
+    ]
     cal_map = assign_calibrations([p.step_id for p in processed], cal_results)
     for p, off in zip(processed, offsets):
-        cal = cal_map[p.step_id]
-        a = _signal_coefficient(p, cal, geometry, lineshape, tau_s, snr_ref)
+        a = _signal_coefficient(p, cal_map[p.step_id], geometry, lineshape, tau_s, snr_ref)
         var = p.sigma**2
         sel = p.valid
         a_sel = a[sel]
-        num_view = combined.num[off : off + p.n_bins]
-        den_view = combined.den[off : off + p.n_bins]
-        contrib_view = combined.n_contrib[off : off + p.n_bins]
-        num_view[sel] += a_sel * p.excess[sel] / var
-        den_view[sel] += a_sel**2 / var
-        contrib_view[sel] += 1
+        on = slice(off, off + p.n_bins)
+        combined.num[on][sel] += a_sel * p.excess[sel] / var
+        combined.den[on][sel] += a_sel**2 / var
+        combined.n_contrib[on][sel] += 1
     return combined
 
 
@@ -649,28 +653,19 @@ def coadd_grand(combined, report):
 def flag_rescans(grand, threshold_sigma, merge_width_bins):
     """Bins at or above threshold, merged within one lineshape width,
     highest significance first."""
-    mask = (grand.x >= threshold_sigma) & included(grand)
-    hits = np.flatnonzero(mask)
-    candidates = []
-    if hits.size:
-        group = [hits[0]]
-        for idx in hits[1:]:
-            if idx - group[-1] <= merge_width_bins:
-                group.append(idx)
-            else:
-                candidates.append(group)
-                group = [idx]
-        candidates.append(group)
+    hits = np.flatnonzero((grand.x >= threshold_sigma) & included(grand))
+    # runs of hits no more than merge_width_bins apart; none without a hit
+    breaks = np.flatnonzero(np.diff(hits) > merge_width_bins) + 1
+    groups = np.split(hits, breaks) if hits.size else []
     out = []
-    for group in candidates:
-        arr = np.asarray(group)
-        best = int(arr[np.argmax(grand.x[arr])])
+    for group in groups:
+        best = int(group[np.argmax(grand.x[group])])
         out.append(
             RescanCandidate(
                 nu_hz=float(grand.rf_start_hz + best * grand.bin_width_hz),
                 rf_index=best,
                 significance=float(grand.x[best]),
-                n_merged=len(group),
+                n_merged=group.size,
             )
         )
     out.sort(key=lambda c: -c.significance)
@@ -682,7 +677,8 @@ def check_persistence(candidates, rescan_grand, threshold_sigma, merge_width_bin
 
     A candidate persists when any included follow-up bin within one
     merge width of its frequency reaches the threshold again.  Returns one
-    record per candidate.
+    record per candidate; ``significance_rescan`` is None, and the
+    candidate not covered, when no included bin lies in that window.
     """
     counted = included(rescan_grand)
     records = []
@@ -690,29 +686,17 @@ def check_persistence(candidates, rescan_grand, threshold_sigma, merge_width_bin
         center = int(
             round((cand.nu_hz - rescan_grand.rf_start_hz) / rescan_grand.bin_width_hz)
         )
-        lo = max(center - merge_width_bins, 0)
-        hi = min(center + merge_width_bins + 1, rescan_grand.x.size)
-        window = slice(lo, hi)
-        usable = counted[window]
-        if lo >= hi or not np.any(usable):
-            records.append(
-                {
-                    "nu_hz": cand.nu_hz,
-                    "significance_initial": cand.significance,
-                    "significance_rescan": None,
-                    "persisted": False,
-                    "covered": False,
-                }
-            )
-            continue
-        best = float(np.max(rescan_grand.x[window][usable]))
+        # clipped at 0, as a negative bound would count from the top end
+        lo, hi = max(center - merge_width_bins, 0), max(center + merge_width_bins + 1, 0)
+        usable = rescan_grand.x[lo:hi][counted[lo:hi]]
+        best = float(np.max(usable)) if usable.size else None
         records.append(
             {
                 "nu_hz": cand.nu_hz,
                 "significance_initial": cand.significance,
                 "significance_rescan": best,
-                "persisted": bool(best >= threshold_sigma),
-                "covered": True,
+                "persisted": best is not None and best >= threshold_sigma,
+                "covered": best is not None,
             }
         )
     return records

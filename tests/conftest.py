@@ -14,7 +14,8 @@ from haloscan import (
 )
 from haloscan.cli import main
 
-REFERENCE_INI = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.ini")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+REFERENCE_INI = os.path.join(CONFIG_DIR, "reference.ini")
 
 REF_NU = 4.14e9
 REF_KAPPA_L = 88.1e3
@@ -27,6 +28,19 @@ def reference_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("reference_out")
     t0 = time.monotonic()
     rc = main(["all", "--config", REFERENCE_INI, "--out", str(out), "--threads", "4"])
+    elapsed = time.monotonic() - t0
+    assert rc == 0
+    return out, elapsed
+
+
+@pytest.fixture(scope="session")
+def ensemble_run(tmp_path_factory):
+    """(output directory, seconds) of one ``haloscan all`` on configs/ensemble.ini,
+    as ``reference_run``; read it, never write."""
+    out = tmp_path_factory.mktemp("ensemble_out")
+    ini = os.path.join(CONFIG_DIR, "ensemble.ini")
+    t0 = time.monotonic()
+    rc = main(["all", "--config", ini, "--out", str(out), "--threads", "2"])
     elapsed = time.monotonic() - t0
     assert rc == 0
     return out, elapsed

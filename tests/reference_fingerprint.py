@@ -1,6 +1,6 @@
-"""Fingerprint of the reference run's artifacts, and the script that records it.
+"""Fingerprints of the artifacts of a config's run, and the script that records them.
 
-For every file ``haloscan all --config configs/reference.ini`` writes,
+For every file ``haloscan all --config configs/<name>.ini`` writes,
 except ``sidecar.json``, the fingerprint holds the relative path and the
 sha256.  Numeric artifacts (``.spec``, ``.dat`` and ``.csv``) also hold
 their column names and, per column, exact float summaries over the
@@ -9,10 +9,12 @@ value at index n // 3.  The numpy version the file was recorded under is
 stored with it: under that version every sha256 must match; under
 another, the summaries must match to 1e-12 relative.
 
-Regenerate after a change that alters any artifact, and paste the diff of
-``tests/data/reference_fingerprint.json`` into CHANGES.md:
+Two configs are fingerprinted, each in ``tests/data/<name>_fingerprint.json``:
+``reference`` (the default) and ``ensemble``.  Regenerate after a change
+that alters any artifact, and paste the diff of the fingerprint file into
+CHANGES.md:
 
-    PYTHONPATH=src python3 tests/reference_fingerprint.py
+    PYTHONPATH=src python3 tests/reference_fingerprint.py [reference|ensemble]
 """
 
 import hashlib
@@ -25,9 +27,16 @@ import tempfile
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-REFERENCE_INI = os.path.join(HERE, os.pardir, "configs", "reference.ini")
-FINGERPRINT = os.path.join(HERE, "data", "reference_fingerprint.json")
+CONFIGS = ("reference", "ensemble")
 REL_TOL = 1e-12
+
+
+def config_path(name):
+    return os.path.join(HERE, os.pardir, "configs", f"{name}.ini")
+
+
+def fingerprint_path(name):
+    return os.path.join(HERE, "data", f"{name}_fingerprint.json")
 
 
 def _array_columns(path):
@@ -122,19 +131,23 @@ def _diff(want, got, where="columns"):
         f"{where}: {got!r} != recorded {want!r}"]
 
 
-def main():
+def main(argv):
     from haloscan.cli import main as haloscan
 
+    name = argv[0] if argv else "reference"
+    if len(argv) > 1 or name not in CONFIGS:
+        sys.exit(f"usage: reference_fingerprint.py [{'|'.join(CONFIGS)}]")
     with tempfile.TemporaryDirectory() as out:
-        if haloscan(["all", "--config", REFERENCE_INI, "--out", out]) != 0:
-            sys.exit("haloscan all failed on configs/reference.ini")
+        if haloscan(["all", "--config", config_path(name), "--out", out]) != 0:
+            sys.exit(f"haloscan all failed on configs/{name}.ini")
         record = fingerprint(out)
-    os.makedirs(os.path.dirname(FINGERPRINT), exist_ok=True)
-    with open(FINGERPRINT, "w") as fh:
+    path = fingerprint_path(name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(record['artifacts'])} artifacts to {FINGERPRINT}")
+    print(f"wrote {len(record['artifacts'])} artifacts to {path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

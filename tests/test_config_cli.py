@@ -23,6 +23,7 @@ from haloscan.errors import ConfigError, NumericError
 from haloscan.pipeline import read_grand_spectrum, write_grand_spectrum
 from haloscan.receiver import thermal_quanta
 from haloscan.spectra import read_spectrum, write_spectrum
+from conftest import REFERENCE_INI
 
 # Five steps, small band; the tight RF window is required at this band
 # size, the production default follows the per-step baseline instead.
@@ -690,6 +691,29 @@ class TestFailureModes:
             "budget", "--config", ini, "--out", tmp_path / "o", "--threads", "0"
         ) == 2
         assert stderr_payload(capsys)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--config", REFERENCE_INI, "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "required: --config"),
+            (["--config", REFERENCE_INI, "--threads", "x"], "invalid int value: 'x'"),
+        ],
+        ids=["unknown_flag", "no_config", "non_integer_threads"],
+    )
+    def test_bad_arguments_print_json_and_exit_2(self, tmp_path, capsys, args, message):
+        assert run_cli("all", *args, "--out", tmp_path / "o") == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError" and payload["exit_code"] == 2
+        assert message in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(flag)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
 
     def test_unreachable_injection_exits_2(self, tmp_path, capsys):
         ini = write_ini(

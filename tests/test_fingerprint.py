@@ -1,4 +1,4 @@
-"""The reference run's artifacts against their checked-in fingerprint.
+"""The artifacts of the reference and ensemble runs against their checked-in fingerprints.
 
 A change that alters any artifact regenerates the fingerprint with
 ``tests/reference_fingerprint.py`` and records the diff in CHANGES.md.
@@ -7,15 +7,16 @@ A change that alters any artifact regenerates the fingerprint with
 import json
 
 import numpy as np
+import pytest
 
-from reference_fingerprint import FINGERPRINT, fingerprint, mismatches
+from reference_fingerprint import CONFIGS, fingerprint, fingerprint_path, mismatches
 
 
-def test_reference_artifacts_match_fingerprint(reference_run):
-    out, _ = reference_run
-    with open(FINGERPRINT) as fh:
+@pytest.mark.parametrize("name", CONFIGS)
+def test_artifacts_match_fingerprint(name, request):
+    out, _ = request.getfixturevalue(f"{name}_run")
+    with open(fingerprint_path(name)) as fh:
         recorded = json.load(fh)
     same_numpy = recorded["numpy_version"] == np.__version__
     problems = mismatches(recorded, fingerprint(out), exact_hashes=same_numpy)
     assert not problems, "\n".join(problems[:20])
-

@@ -19,7 +19,7 @@ from haloscan.inference import (
     subaggregate_windows,
     write_exclusion_result,
 )
-from haloscan.pipeline import GrandSpectrum
+from haloscan.pipeline import GrandSpectrum, included
 
 DB = 100.0
 
@@ -522,25 +522,25 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(curve, want_curve, rtol=1e-11, atol=0)
         np.testing.assert_allclose(surface, want_surface, rtol=1e-11, atol=0)
 
-    @pytest.mark.parametrize("chunk", [7, 64, 1000])
-    def test_alignment_chunks(self, scans, chunk, monkeypatch):
-        # a third rescan starts below the initial grid; (a, b) are the same
-        # bits in any chunk size, and ln U = a - b at g = 1 is the oracle's
-        initial, rescans = scans
+    @pytest.mark.parametrize(
+        "start, n",
+        [(-200, 300), (1850, 400), (300, 500), (2100, 200)],
+        ids=["below", "past_top", "inside", "no_overlap"],
+    )
+    def test_rescan_offsets(self, scans, start, n):
+        # a rescan starting `start` bins from the initial grid's first bin
+        # adds over the slice it overlaps; ln U = a - b at g = 1 is the oracle's
+        initial, _ = scans
         rng = np.random.default_rng(17)
-        below = make_grand(
-            x=rng.standard_normal(300),
-            eta_sens=rng.uniform(0.3, 1.0, 300),
-            rf_start=initial.rf_start_hz - 200 * DB,
+        rescan = make_grand(
+            x=rng.standard_normal(n),
+            eta_sens=rng.uniform(0.3, 1.0, n),
+            rf_start=initial.rf_start_hz + start * DB,
         )
-        rescans = [*rescans, below]
-        a, b, index_of = inference._coefficients(initial, rescans)
-        monkeypatch.setattr(inference, "ALIGN_CHUNK", chunk)
-        a_chunked, b_chunked, index_chunked = inference._coefficients(initial, rescans)
-        np.testing.assert_array_equal(a_chunked, a)
-        np.testing.assert_array_equal(b_chunked, b)
-        np.testing.assert_array_equal(index_chunked, index_of)
-        want = oracle_log_updates(initial, rescans, 1.0)
+        rescan.valid[rng.random(n) < 0.2] = False
+        a, b, index_of = inference._coefficients(initial, [rescan])
+        np.testing.assert_array_equal(index_of, np.flatnonzero(included(initial)))
+        want = oracle_log_updates(initial, [rescan], 1.0)
         np.testing.assert_allclose(a - b, want, rtol=1e-12, atol=1e-12)
 
     def test_g_star_equal(self, scans):
@@ -729,3 +729,7 @@ class TestResultAndFiles:
         wrong.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(DataError):
             read_exclusion_result(wrong)
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[]")
+        with pytest.raises(DataError, match="not an exclusion result"):
+            read_exclusion_result(not_object)

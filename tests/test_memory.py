@@ -50,14 +50,17 @@ FORTY_STEPS_INI = textwrap.dedent(
 SIMULATE_BOUND = 30 * SPECTRUM_BYTES
 # One chunk of stage 2, about 7 spectra's worth per row (the row, its FFT
 # padded to 8,192 bins and the convolution), plus the filter-transfer
-# measurement, the coadd over the RF grid and the rescans.
-PROCESS_BOUND = (7 * STAGE2_CHUNK + 40) * SPECTRUM_BYTES
+# measurement, the coadd over the RF grid and the rescans: about 28
+# spectra in all.
+PROCESS_BOUND = (7 * STAGE2_CHUNK + 20) * SPECTRUM_BYTES
 
 # In float64 arrays over the RF grid.  The coadd's result alone is about
-# 3.6 (x, eta_sens and support, n_contrib and valid); the exclusion keeps
-# (a, b) per included bin and, over the couplings, two buffers of that size.
+# 3.6 (x, eta_sens and support, n_contrib and valid).  The exclusion sums
+# (a, b) over the initial grid and gathers them at the included bins one
+# at a time, about 4.2 at its peak; over the couplings it keeps (a, b)
+# and two buffers of that size.
 COADD_BOUND = 6
-EXCLUSION_BOUND = 6
+EXCLUSION_BOUND = 4.5
 
 
 def peak_traced_bytes(stage, cfg, ws):

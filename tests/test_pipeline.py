@@ -421,6 +421,16 @@ class TestCombination:
         with pytest.raises(DataError):
             combine_spectra([a, b], [cal], receiver, default_lineshape, tau_s=3600.0)
 
+    def test_other_bin_width_rejected(self, default_lineshape):
+        # every spectrum is checked against the RF grid, not only the first
+        receiver = make_receiver()
+        cal = truth_cal(0, REF_NU, receiver)
+        a = make_processed(0, REF_NU, np.zeros(500), sigma=1e-3)
+        b = dataclasses.replace(make_processed(1, REF_NU, np.zeros(500), sigma=1e-3),
+                                bin_width_hz=50.0)
+        with pytest.raises(DataError, match="step 1: bin width 50.0 Hz"):
+            combine_spectra([a, b], [cal], receiver, default_lineshape, tau_s=3600.0)
+
     def test_lineshape_on_another_bin_width_rejected(self):
         receiver = make_receiver()
         cal = truth_cal(0, REF_NU, receiver)

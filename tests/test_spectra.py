@@ -1,5 +1,6 @@
 """Container validation and versioned array file round trips."""
 
+import io
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from haloscan import (
     write_spectrum,
 )
 from haloscan.artifacts import atomic_open
+from haloscan.spectra import SpectrumFile, open_spectrum
 from conftest import join_array_file, split_array_file
 
 
@@ -168,6 +170,49 @@ class TestSpectrumFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_spectrum(tmp_path / "nope.spec")
+
+
+class TestOpenSpectrum:
+    """``open_spectrum`` checks the header at open and reads the PSD on access."""
+
+    def test_matches_read_spectrum(self, tmp_path):
+        path = tmp_path / "s.spec"
+        write_spectrum(make_spectrum(n=32, probe_power=1.02, note="nominal"), path)
+        opened, read = open_spectrum(path), read_spectrum(path)
+        assert isinstance(opened, SpectrumFile)
+        for name in ("step_id", "nu_start_hz", "bin_width_hz", "n_averages", "n_bins",
+                     "metadata"):
+            assert getattr(opened, name) == getattr(read, name), name
+        assert opened.psd.tobytes() == read.psd.tobytes()
+
+    def test_truncated_file_refused_at_open(self, tmp_path):
+        path = tmp_path / "t.spec"
+        write_spectrum(make_spectrum(n=16), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match="malformed column payload"):
+            open_spectrum(path)
+
+    def test_non_float64_column_refused_at_open(self, tmp_path):
+        path = tmp_path / "f.spec"
+        s = make_spectrum(n=16)
+        write_spectrum(s, path)
+        magic, header, _ = split_array_file(path)
+        payload = io.BytesIO()
+        np.save(payload, s.psd.astype(np.float32))
+        join_array_file(path, magic, header, payload.getvalue())
+        with pytest.raises(DataError, match="float32"):
+            open_spectrum(path)
+
+    def test_negative_sample_written_after_open(self, tmp_path):
+        path = tmp_path / "n.spec"
+        write_spectrum(make_spectrum(n=16), path)
+        opened = open_spectrum(path)
+        data = bytearray(path.read_bytes())
+        at = opened.offsets["psd"] + 8 * 5
+        data[at : at + 8] = np.array(-1.0, dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="negative"):
+            opened.psd
 
 
 class TestAtomicWrite:

@@ -1,4 +1,4 @@
-"""On-disk artifacts: the versioned array format and atomic writes.
+"""On-disk artifacts: the versioned array format, JSON records and atomic writes.
 
 Spectra (``.spec``) and grand spectra (``.dat``) share one binary layout:
 
@@ -15,7 +15,8 @@ by ``numpy.lib.format.write_array``; after the two header lines,
 ``numpy.load`` on the open file returns the columns one after another.
 
 Version 1 was a text format; it is refused with a request to re-run the
-stages that write it.  Every writer here goes through ``atomic_open``:
+stages that write it.  Every JSON input, a results file or a run record,
+is read by ``read_json``.  Every writer here goes through ``atomic_open``:
 the file is written as ``<path>.tmp`` and renamed over the target, so a
 reader never sees a half-written artifact.
 """
@@ -46,6 +47,29 @@ def write_json(payload, path):
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path, fmt=None):
+    """The JSON object in ``path``; with ``fmt``, one whose ``format`` is
+    ``fmt`` and whose ``version`` is 1.  A file that cannot be read, is not
+    UTF-8 JSON or holds anything else is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{path}: malformed JSON: {exc}") from exc
+    record = payload if isinstance(payload, dict) else {}
+    if fmt is not None and (record.get("format"), record.get("version")) != (fmt, 1):
+        kind = fmt.removeprefix("haloscan-")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise DataError(f"{path}: not {article} {kind} result: expected a version-1 "
+                        f"{fmt} object, got format {record.get('format')!r} "
+                        f"version {record.get('version')!r}")
+    if record is not payload:
+        raise DataError(f"{path}: not a JSON object")
+    return payload
 
 
 def write_array_file(path, kind, core, metadata, columns):

@@ -14,13 +14,12 @@ conventions here is the classic factor-of-two pitfall.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError
 from .receiver import (
     VACUUM_QUANTA,
@@ -311,10 +310,11 @@ def assign_calibrations(step_ids, results):
 _RESULT_FIELDS = [f.name for f in dataclasses.fields(CalibrationResult)]
 
 
-def write_calibration_results(results, path):
+def write_calibration_results(results, path, metadata=None):
     payload = {
         "format": "haloscan-calibration",
         "version": 1,
+        "metadata": dict(metadata or {}),
         "results": [
             {
                 name: (list(getattr(r, name)) if name == "flags" else getattr(r, name))
@@ -334,18 +334,12 @@ def _field_ok(name, value):
 
 
 def read_calibration_results(path):
-    """Read ``write_calibration_results`` output; a malformed field is a DataError."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read calibration results: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "haloscan-calibration":
-        raise DataError(f"{path}: not a calibration results file")
-    if payload.get("version") != 1:
-        raise DataError(f"{path}: unsupported version {payload.get('version')!r}")
+    """Read ``write_calibration_results`` output: ``(results, metadata)``.
+    A malformed field is a DataError."""
+    payload = read_json(path, "haloscan-calibration")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: metadata must be an object")
     entries = payload.get("results")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise DataError(f"{path}: results must be a list of objects")
@@ -356,4 +350,4 @@ def read_calibration_results(path):
             raise DataError(f"{path}: missing or malformed {', '.join(bad)} in {entry!r}")
         kwargs = {name: entry[name] for name in _RESULT_FIELDS}
         results.append(CalibrationResult(**dict(kwargs, flags=tuple(entry["flags"]))))
-    return results
+    return results, metadata

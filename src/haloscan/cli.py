@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, read_json, write_json
 from .axion import AxionHypothesis, mass_uev
 from .calibration import (
     read_calibration_results,
@@ -96,14 +96,11 @@ def _utc_now():
 
 
 def _read_previous(path):
-    """The JSON object an earlier stage wrote, or {} if the file is missing,
-    unreadable or holds anything but an object."""
+    """The JSON object an earlier command wrote, or {} if there is none."""
     try:
-        with open(path) as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):  # ValueError: bad JSON or bad UTF-8
+        return read_json(path)
+    except DataError:
         return {}
-    return previous if isinstance(previous, dict) else {}
 
 
 def _stages(record):
@@ -113,32 +110,9 @@ def _stages(record):
     return stages if isinstance(stages, dict) else {}
 
 
-def _update_manifest(ws, cfg, artifacts, finished_at):
-    """Record finished stages: stage -> its files in the manifest (deterministic,
-    no timestamps), stage -> its finishing time in the sidecar."""
-    path = ws.path(_MANIFEST)
-    manifest = {
-        "format": "haloscan-manifest",
-        "version": 1,
-        "config_hash": cfg.hash(),
-        "master_seed": cfg.master_seed,
-        "package_version": __version__,
-        "stages": {},
-    }
-    previous = _read_previous(path)
-    if previous.get("config_hash") == manifest["config_hash"]:
-        manifest["stages"] = _stages(previous)
-    manifest["stages"].update((stage, {"artifacts": files}) for stage, files in artifacts.items())
-    write_json(manifest, path)
-
-    sidecar = _read_previous(ws.path(_SIDECAR))
-    sidecar["stages"] = _stages(sidecar)
-    sidecar["stages"].update(finished_at)
-    write_json(sidecar, ws.path(_SIDECAR))
-
-
 def _provenance(cfg):
-    """Stamp for the metadata of every spectrum and grand spectrum written."""
+    """Stamp for the metadata of every spectrum, grand spectrum and
+    calibration results file written."""
     return {"config_hash": cfg.hash(), "master_seed": cfg.master_seed}
 
 
@@ -227,7 +201,7 @@ def stage_calibrate(cfg, ws):
         )
     geometry = cfg.receiver()
     results = [_calibrate_one(cfg, geometry, d) for d in dirs]
-    write_calibration_results(results, ws.cal_results)
+    write_calibration_results(results, ws.cal_results, _provenance(cfg))
     log.info("calibrated %d sets", len(results))
 
 
@@ -254,7 +228,8 @@ def stage_process(cfg, ws):
     spectra = _load_spectra(cfg, ws)
     if not os.path.exists(ws.cal_results):
         raise DataError(f"{ws.cal_results} not found; run calibrate first")
-    cal_results = read_calibration_results(ws.cal_results)
+    cal_results, metadata = read_calibration_results(ws.cal_results)
+    _check_seed(cfg, metadata, ws.cal_results)
     geometry = cfg.receiver()
     acquisition = _acquisition(cfg)
     lineshape = acquisition["lineshape"]
@@ -306,13 +281,12 @@ def stage_exclude(cfg, ws):
     if not os.path.exists(ws.grand):
         raise DataError(f"{ws.grand} not found; run process first")
     initial = _read_grand(cfg, ws.grand)
-    followups = []
-    if os.path.exists(ws.rescan_grand):
-        followups.append(_read_grand(cfg, ws.rescan_grand))
+    followups = [p for p in (ws.rescan_grand,) if os.path.exists(p)]
     band = (cfg.get("campaign", "lo_hz"), cfg.get("campaign", "hi_hz"))
     result = run_exclusion(
         initial,
-        tuple(followups),
+        # read one at a time, so each is freed once its terms are summed
+        (_read_grand(cfg, path) for path in followups),
         target=cfg.get("inference", "target"),
         g_grid=cfg.g_grid(),
         n_windows=cfg.get("inference", "n_windows"),
@@ -389,9 +363,6 @@ def _run_stage(stage, cfg, ws):
     """Delete the stage's outputs, run it, and return every file under them,
     sorted and relative to the output directory."""
     outputs = ws.outputs[stage]
-    manifest = _read_previous(ws.path(_MANIFEST))
-    if _stages(manifest).pop(stage, None) is not None:
-        write_json(manifest, ws.path(_MANIFEST))  # if the stage fails, no entry lists its files
     for path in outputs:
         if os.path.isdir(path):
             shutil.rmtree(path)
@@ -408,17 +379,39 @@ def _run_stage(stage, cfg, ws):
 
 
 def _run_stages(stages, cfg, ws):
-    """Run stages in order; record those that finish, also when a later one fails.
-    Once per command, not per stage: each record creates two files."""
-    artifacts, finished_at = {}, {}
+    """Run stages in order and record those that finish, also when a later
+    one fails: stage -> its files in the manifest (deterministic, no
+    timestamps), stage -> its finishing time in the sidecar.  The manifest
+    starts over when the config hash changes, and the sidecar names the
+    manifest's stages.  Each record is read once and written once per
+    command; the manifest is also written before a stage it lists runs."""
+    manifest = {
+        "format": "haloscan-manifest",
+        "version": 1,
+        "config_hash": cfg.hash(),
+        "master_seed": cfg.master_seed,
+        "package_version": __version__,
+        "stages": {},
+    }
+    previous = _read_previous(ws.path(_MANIFEST))
+    recorded = set(_stages(previous))  # the stages the manifest on disk lists
+    if previous.get("config_hash") == manifest["config_hash"]:
+        manifest["stages"] = _stages(previous)
+    sidecar = _read_previous(ws.path(_SIDECAR))
+    finished_at = _stages(sidecar)
     try:
         for stage in stages:
             log.info("stage %s", stage)
-            artifacts[stage] = _run_stage(stage, cfg, ws)
+            manifest["stages"].pop(stage, None)
+            if stage in recorded:  # so that no entry lists the files of a stage that fails
+                write_json(manifest, ws.path(_MANIFEST))
+                recorded = set(manifest["stages"])
+            manifest["stages"][stage] = {"artifacts": _run_stage(stage, cfg, ws)}
             finished_at[stage] = _utc_now()
     finally:
-        if artifacts:
-            _update_manifest(ws, cfg, artifacts, finished_at)
+        sidecar["stages"] = {stage: finished_at.get(stage) for stage in manifest["stages"]}
+        write_json(manifest, ws.path(_MANIFEST))
+        write_json(sidecar, ws.path(_SIDECAR))
 
 
 def _add_common(parser):

@@ -17,8 +17,9 @@ one grid loop: at each coupling a vectorised log-mean-exp over the
 n_windows windows, shifted by each window's largest ln U.  The aggregate
 curve is the size-weighted pool of the window means, the bisection for g*
 reuses (a, b), and g* and the window contours take their grid cell from one
-last-crossing rule.  Besides the scans, a run holds the two grid-sized sums
-until they are gathered, then (a, b), the included bin indices until the
+last-crossing rule.  The rescans are iterated once, so a generator can read
+each one as it is summed in and free it before the next.  Besides the
+scans, a run holds the two grid-sized sums until they are gathered, then (a, b), the included bin indices until the
 windows are cut, and two buffers over the included bins for the grid loop.
 exclusion_curve, exclusion_coupling and subaggregate_windows each return
 part of one run_exclusion call; the first two pool a single window.
@@ -27,14 +28,13 @@ part of one run_exclusion call; the first two pool a single window.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, read_json, write_json
 from .errors import ConfigError, DataError
 from .pipeline import included, lattice_offset
 
@@ -337,13 +337,4 @@ def write_exclusion_result(result, out_dir):
 
 
 def read_exclusion_result(path):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read exclusion result: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "haloscan-exclusion":
-        raise DataError(f"{path}: not an exclusion result file")
-    return payload
+    return read_json(path, "haloscan-exclusion")

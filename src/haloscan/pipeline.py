@@ -184,10 +184,6 @@ class CombinedSpectrum:
     den: np.ndarray
     n_contrib: np.ndarray
 
-    @property
-    def frequencies(self):
-        return self.rf_start_hz + np.arange(self.num.size) * self.bin_width_hz
-
     def amplitude(self):
         out = np.zeros_like(self.num)
         mask = self.den > 0

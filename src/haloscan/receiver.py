@@ -202,11 +202,6 @@ class ReceiverParams:
             raise ConfigError(f"amplifier gain must be finite, got {self.g_a_db!r}")
 
     @property
-    def kappa_m(self):
-        """Measurement-port linewidth, Hz."""
-        return self.beta * self.kappa_l
-
-    @property
     def kappa(self):
         """Loaded linewidth kappa_l (1 + beta), Hz."""
         return self.kappa_l * (1.0 + self.beta)

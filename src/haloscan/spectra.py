@@ -51,9 +51,6 @@ class RawSpectrum:
         """Bin-center frequencies, Hz."""
         return self.nu_start_hz + np.arange(self.n_bins) * self.bin_width_hz
 
-    def detunings(self, nu_c):
-        return self.frequencies - nu_c
-
 
 def _checked_psd(step_id, psd):
     psd = np.asarray(psd, dtype=float)

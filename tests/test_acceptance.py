@@ -398,7 +398,7 @@ def test_09_filter_transfer(capsys, reference_processed):
     with open(os.path.join(out, "filter_report.json")) as fh:
         cli_report = json.load(fh)
 
-    cal = read_calibration_results(os.path.join(out, "calibration_results.json"))
+    cal, _ = read_calibration_results(os.path.join(out, "calibration_results.json"))
     combined = combine_spectra(
         reference_processed["processed"],
         cal,

@@ -304,9 +304,11 @@ class TestResultsFile:
             for s in (0, 9, 18)
         ]
         path = tmp_path / "cal.json"
-        write_calibration_results(results, path)
-        back = read_calibration_results(path)
+        stamp = {"config_hash": "abc", "master_seed": 7}
+        write_calibration_results(results, path, stamp)
+        back, metadata = read_calibration_results(path)
         assert back == sorted(results, key=lambda r: r.step_id)
+        assert metadata == stamp
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -322,6 +324,14 @@ class TestResultsFile:
         path = tmp_path / "cal.json"
         path.write_text('{"format": "something-else", "version": 1, "results": []}')
         with pytest.raises(DataError):
+            read_calibration_results(path)
+
+    def test_metadata_not_an_object(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text(
+            '{"format": "haloscan-calibration", "version": 1, "metadata": [], "results": []}'
+        )
+        with pytest.raises(DataError, match="metadata must be an object"):
             read_calibration_results(path)
 
     def test_unsupported_version(self, tmp_path):

@@ -360,6 +360,7 @@ class TestPipelineViaCli:
             assert {k: meta[k] for k in stamp} == stamp
         for path in (out / "grand_spectrum.dat", out / "rescans" / "grand_spectrum.dat"):
             assert read_grand_spectrum(path).metadata == stamp
+        assert read_json(out / "calibration_results.json")["metadata"] == stamp
 
     def test_process_artifacts(self, cli_run):
         _, out = cli_run
@@ -532,7 +533,9 @@ class TestDeterminismAndStages:
         (out / "calibration_results.json").write_text("{not json")
         assert run_cli("process", "--config", ini, "--out", out) == 4
         assert stderr_payload(capsys)["error"] == "DataError"
-        assert "process" not in read_json(out / "manifest.json")["stages"]
+        manifest = read_json(out / "manifest.json")
+        assert "process" not in manifest["stages"]
+        assert set(read_json(out / "sidecar.json")["stages"]) == set(manifest["stages"])
         assert not (out / "grand_spectrum.dat").exists()
 
     def test_stages_before_a_failure_are_recorded(self, tmp_path, capsys, monkeypatch):
@@ -580,6 +583,7 @@ class TestDeterminismAndStages:
         manifest = read_json(out / "manifest.json")
         assert set(manifest["stages"]) == {"enhancement"}
         assert manifest["master_seed"] == 999
+        assert set(read_json(out / "sidecar.json")["stages"]) == {"enhancement"}
 
     @pytest.mark.parametrize("name", ["manifest.json", "sidecar.json"])
     @pytest.mark.parametrize("text", ["[]", '"x"', '{"stages": []}'])
@@ -943,6 +947,26 @@ class TestFailureModes:
         assert payload["error"] == "DataError"
         assert payload["exit_code"] == 4
         assert "master_seed 1" in payload["message"]
+        assert not (out / "grand_spectrum.dat").exists()
+
+    @pytest.mark.parametrize("seed", [4242, None])
+    def test_process_refuses_calibrations_of_another_seed(self, cli_run, tmp_path, capsys,
+                                                           seed):
+        # spectra re-simulated under seed 7 next to the calibrations of seed
+        # 4242, or of a results file that names no seed
+        ini, out_all = cli_run
+        out = tmp_path / "resimulated"
+        shutil.copytree(out_all, out)
+        if seed is None:
+            cal = read_json(out / "calibration_results.json")
+            del cal["metadata"]
+            (out / "calibration_results.json").write_text(json.dumps(cal))
+        assert run_cli("simulate", "--config", ini, "--out", out, "--seed-override", "7") == 0
+        assert run_cli("process", "--config", ini, "--out", out, "--seed-override", "7") == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert "calibration_results.json" in payload["message"]
+        assert f"master_seed {seed!r}" in payload["message"]
         assert not (out / "grand_spectrum.dat").exists()
 
     @pytest.mark.parametrize("stage", ["calibrate", "exclude"])

@@ -3,8 +3,9 @@ arrays the size of the RF grid, not a dozen.
 
 tracemalloc sees numpy's allocations, so the peak traced bytes inside a
 stage are deterministic.  The stage bounds are fixed multiples of one
-spectrum and do not grow with the 40 steps of the campaign; the coadd and
-exclusion bounds are multiples of one float64 array over the RF grid.
+spectrum and do not grow with the 40 steps of the campaign; the coadd,
+exclusion and exclude-stage bounds are multiples of one float64 array over
+the RF grid.
 """
 
 import os
@@ -16,7 +17,7 @@ import numpy as np
 from haloscan import cli, pipeline
 from haloscan.config import load_config
 from haloscan.inference import run_exclusion
-from haloscan.pipeline import STAGE2_CHUNK, GrandSpectrum
+from haloscan.pipeline import STAGE2_CHUNK, GrandSpectrum, read_grand_spectrum
 
 N_BINS = 4000
 SPECTRUM_BYTES = 8 * N_BINS
@@ -61,6 +62,10 @@ PROCESS_BOUND = (7 * STAGE2_CHUNK + 20) * SPECTRUM_BYTES
 # and two buffers of that size.
 COADD_BOUND = 6
 EXCLUSION_BOUND = 4.5
+# The whole exclude stage, whose follow-up grand spectrum is read only when
+# the exclusion sums it in and freed right after: about 16.7 arrays, with
+# the initial grand spectrum alive throughout.
+EXCLUDE_STAGE_BOUND = 17.5
 
 
 def peak_traced_bytes(stage, cfg, ws):
@@ -72,13 +77,19 @@ def peak_traced_bytes(stage, cfg, ws):
         tracemalloc.stop()
 
 
-def test_stage_peaks_do_not_scale_with_steps(tmp_path):
+def forty_steps(tmp_path):
+    """(config, workspace) of the forty-step campaign, nothing run yet."""
     ini = tmp_path / "forty.ini"
     ini.write_text(FORTY_STEPS_INI)
     cfg = load_config(str(ini))
-    assert cfg.tuning_plan().n_steps == 40
     ws = cli.Workspace(str(tmp_path / "out"))
     os.makedirs(ws.root)
+    return cfg, ws
+
+
+def test_stage_peaks_do_not_scale_with_steps(tmp_path):
+    cfg, ws = forty_steps(tmp_path)
+    assert cfg.tuning_plan().n_steps == 40
 
     simulate_peak = peak_traced_bytes(cli.stage_simulate, cfg, ws)
     cli.stage_calibrate(cfg, ws)
@@ -89,11 +100,7 @@ def test_stage_peaks_do_not_scale_with_steps(tmp_path):
 
 
 def test_coadd_holds_few_grid_arrays(tmp_path, monkeypatch):
-    ini = tmp_path / "forty.ini"
-    ini.write_text(FORTY_STEPS_INI)
-    cfg = load_config(str(ini))
-    ws = cli.Workspace(str(tmp_path / "out"))
-    os.makedirs(ws.root)
+    cfg, ws = forty_steps(tmp_path)
     cli.stage_simulate(cfg, ws)
     cli.stage_calibrate(cfg, ws)
 
@@ -112,6 +119,16 @@ def test_coadd_holds_few_grid_arrays(tmp_path, monkeypatch):
     cli.stage_process(cfg, ws)
     assert peaks  # the initial scan, then the rescans if any
     assert max(peaks) <= COADD_BOUND, peaks
+
+
+def test_exclude_stage_frees_each_followup(tmp_path):
+    cfg, ws = forty_steps(tmp_path)
+    for stage in (cli.stage_simulate, cli.stage_calibrate, cli.stage_process):
+        stage(cfg, ws)
+    assert os.path.exists(ws.rescan_grand)  # one follow-up
+    grid_bytes = 8 * read_grand_spectrum(ws.grand).x.size
+    peak = peak_traced_bytes(cli.stage_exclude, cfg, ws) / grid_bytes
+    assert peak <= EXCLUDE_STAGE_BOUND, peak
 
 
 def test_exclusion_holds_few_grid_arrays():

@@ -457,7 +457,6 @@ class TestPhaseVariance:
 
 class TestReceiverParams:
     def test_derived_rates(self, ref_receiver):
-        assert ref_receiver.kappa_m == pytest.approx(7.1 * 88.1e3)
         assert ref_receiver.kappa == pytest.approx(8.1 * 88.1e3)
         assert ref_receiver.delivered == pytest.approx(0.4, abs=1e-15)
 

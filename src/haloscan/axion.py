@@ -14,6 +14,7 @@ benchmark model coupling at that mass).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,6 +173,16 @@ def lineshape_kernel(nu_a, params, grid_origin=0.0):
     return first_bin, weights
 
 
+@functools.lru_cache(maxsize=64)
+def _centered_weights(nu_hz, params):
+    """Read-only ``lineshape_kernel`` weights of a rest frequency on a bin
+    center (its first bin is then 0), cached for the last 64 frequencies:
+    a campaign asks again for the same step frequencies in every seed."""
+    _, weights = lineshape_kernel(nu_hz, params, grid_origin=nu_hz)
+    weights.flags.writeable = False
+    return weights
+
+
 def canonical_kernel(nu_ref_hz, params):
     """Kernel weights for a rest frequency sitting exactly on a bin center.
 
@@ -180,8 +191,9 @@ def canonical_kernel(nu_ref_hz, params):
     sub-bin offset and the slow growth of the energy scale with frequency.
     Trailing bins beyond the coverage threshold are trimmed so the
     template length tracks the signal mass, not the configured span.
+    Read-only.
     """
-    _, weights = lineshape_kernel(nu_ref_hz, params, grid_origin=nu_ref_hz)
+    weights = _centered_weights(nu_ref_hz, params)
     cdf = np.cumsum(weights)
     stop = np.count_nonzero(cdf < MIN_KERNEL_COVERAGE) + 1  # cdf does not decrease
     return weights[:stop]
@@ -204,8 +216,8 @@ def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
     sigma = 1.0 / math.sqrt(db * tau_s)
     # On-resonance reference: the axion sits exactly on the resonance bin
     # center, and the kernel occupies bins at detunings k * bin_width.
-    first_bin, weights = lineshape_kernel(receiver.nu_c, params, grid_origin=receiver.nu_c)
-    deltas = (first_bin + np.arange(params.span_bins)) * db
+    weights = _centered_weights(receiver.nu_c, params)
+    deltas = np.arange(params.span_bins) * db
     unit = AxionHypothesis(nu_a_hz=receiver.nu_c, g_ksvz=1.0)
     per_bin = visibility(receiver, unit, deltas) * weights / db
     norm = math.sqrt(float(np.sum(per_bin**2)))

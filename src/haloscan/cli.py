@@ -321,9 +321,12 @@ def _operating_points(cfg):
 
 
 def _write_budget_csv(budget, path):
+    table = budget.columns()
+    n_rows, n_cols = table.shape
+    row = ",".join(["%.10e"] * n_cols) + "\n"
     with atomic_open(path) as fh:
         fh.write(",".join(budget.CSV_COLUMNS) + "\n")
-        np.savetxt(fh, budget.columns(), fmt="%.10e", delimiter=",")
+        fh.write(row * n_rows % tuple(table.ravel().tolist()))
 
 
 def stage_budget(cfg, ws):

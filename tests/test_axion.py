@@ -1,5 +1,6 @@
 """Signal-model tests: lineshape density, discrete kernel, bin deposits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from haloscan import (
     reference_amplitude,
 )
 from haloscan.axion import mass_uev
+from haloscan.receiver import visibility
 from conftest import make_receiver
 
 NU_A = 4.14e9
@@ -207,6 +209,22 @@ class TestBinSignal:
         a1 = reference_amplitude(h1, self.receiver, self.params)
         a3 = reference_amplitude(h3, self.receiver, self.params)
         assert a3 == pytest.approx(3.0 * a1, rel=1e-12)
+
+    @pytest.mark.parametrize("nu_c", [NU_A, 4.1500123e9, 4.15417e9, 6.2e9])
+    def test_reference_amplitude_equals_uncached_formula(self, nu_c):
+        """The cached on-resonance weights give the amplitude bit for bit,
+        on the first call and on the repeat."""
+        tau = 600.0
+        db = self.params.bin_width_hz
+        receiver = dataclasses.replace(self.receiver, nu_c=nu_c)
+        first_bin, weights = lineshape_kernel(nu_c, self.params, grid_origin=nu_c)
+        deltas = (first_bin + np.arange(self.params.span_bins)) * db
+        unit = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0)
+        per_bin = visibility(receiver, unit, deltas) * weights / db
+        expected = 2.5 / math.sqrt(db * tau) / math.sqrt(float(np.sum(per_bin**2)))
+        hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=2.5)
+        for _ in range(2):
+            assert reference_amplitude(hyp, receiver, self.params, tau_s=tau) == expected
 
 
 def test_hypothesis_validation():

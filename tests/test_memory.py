@@ -49,10 +49,11 @@ FORTY_STEPS_INI = textwrap.dedent(
 # One step: its science spectrum, a calibration set of five and the
 # simulation's temporaries.
 SIMULATE_BOUND = 30 * SPECTRUM_BYTES
-# One chunk of stage 2, about 7 spectra's worth per row (the row, its FFT
-# padded to 8,192 bins and the convolution), plus the filter-transfer
-# measurement, the coadd over the RF grid and the rescans: about 28
-# spectra in all.
+# One chunk of stage 2, about 5 spectra's worth per row (the row, its FFT
+# padded to 4,320 bins and the convolution), plus the filter-transfer
+# measurement, the coadd over the RF grid, the rescans and, in a fresh
+# process, the cached on-resonance lineshape weights of the 40 step
+# frequencies (about 5 spectra): about 30 spectra in all.
 PROCESS_BOUND = (7 * STAGE2_CHUNK + 20) * SPECTRUM_BYTES
 
 # In float64 arrays over the RF grid.  The coadd's result alone is about

@@ -42,6 +42,8 @@ from haloscan.pipeline import (
     MIN_SUPPORT,
     STAGE2_CHUNK,
     _detrend_interior,
+    _fft_length,
+    _kernel_spectrum,
     _savgol_interp,
     _savgol_kernel,
     _signal_coefficient,
@@ -162,6 +164,31 @@ class TestFilterTransfer:
                 SMALL_BAND, default_lineshape, 9, 200, nu_ref_hz=REF_NU
             )
 
+    def test_report_cached_per_arguments_and_read_only(self, default_lineshape):
+        base = measure_filter_transfer(SMALL_BAND, default_lineshape, 9, 4000, nu_ref_hz=REF_NU)
+        assert measure_filter_transfer(
+            SMALL_BAND, default_lineshape, 9, 4000, nu_ref_hz=REF_NU
+        ) is base
+        for name in ("gamma", "kernel"):
+            with pytest.raises(ValueError):
+                getattr(base, name)[0] = 0.0
+        # each argument changed alone gives the report of the uncached function
+        for args, nu_ref in [
+            ((dataclasses.replace(SMALL_BAND, rf_order=3), default_lineshape, 9, 4000), REF_NU),
+            ((SMALL_BAND, dataclasses.replace(default_lineshape, velocity_dispersion_kms=250.0),
+              9, 4000), REF_NU),
+            ((SMALL_BAND, default_lineshape, 10, 4000), REF_NU),
+            ((SMALL_BAND, default_lineshape, 9, 4100), REF_NU),
+            ((SMALL_BAND, default_lineshape, 9, 4000), REF_NU + 1e6),
+        ]:
+            report = measure_filter_transfer(*args, nu_ref_hz=nu_ref)
+            fresh = measure_filter_transfer.__wrapped__(*args, nu_ref_hz=nu_ref)
+            assert report is not base
+            assert (report.n_spectra, report.t_signal, report.wide_suppression) == (
+                fresh.n_spectra, fresh.t_signal, fresh.wide_suppression)
+            np.testing.assert_array_equal(report.gamma, fresh.gamma)
+            np.testing.assert_array_equal(report.kernel, fresh.kernel)
+
 
 class TestRemoveStructure:
     def simulate_nine(self, baseline, plan, n_bins=4000, tau_s=3600.0):
@@ -270,6 +297,25 @@ class TestSavgolOracle:
         with pytest.raises(ValueError):
             _savgol_kernel(101, 4)[0] = 0.0
 
+    def test_fft_length_is_the_next_5_smooth_length(self):
+        def brute_force(n):
+            while True:
+                rest = n
+                for p in (2, 3, 5):
+                    while rest % p == 0:
+                        rest //= p
+                if rest == 1:
+                    return n
+                n += 1
+
+        assert _fft_length(4300) == 4320
+        assert _fft_length(31000) == 31104
+        for n in (1, 2, 4320, 8192, 31104, 3**7 * 5**2):
+            assert _fft_length(n) == n
+        assert [_fft_length(n) for n in range(1, 2000)] == [brute_force(n) for n in range(1, 2000)]
+        # the 4,000-bin, 301-bin-window cases below run at 4,320, not 8,192
+        assert _kernel_spectrum(301, 4, 4000)[0] == 4320
+
     @pytest.mark.parametrize("window, order", SAVGOL_SHAPES)
     def test_stage1_equals_interp_filter(self, window, order):
         rng = np.random.default_rng(5)
@@ -375,7 +421,8 @@ class TestCombination:
         combined = combine_spectra(
             spectra, [cal], receiver, default_lineshape, tau_s=3600.0
         )
-        np.testing.assert_allclose(combined.amplitude(), g2, rtol=1e-10)
+        assert np.all(combined.den > 0)
+        np.testing.assert_allclose(combined.num / combined.den, g2, rtol=1e-10)
         assert np.all(combined.n_contrib == 3)
 
     def test_two_equal_spectra_shrink_sigma_by_root_two(self, default_lineshape):
@@ -386,7 +433,48 @@ class TestCombination:
         two = one + [make_processed(1, nu_start, np.zeros(1000), sigma=1e-3)]
         s1 = combine_spectra(one, [cal], receiver, default_lineshape, tau_s=3600.0)
         s2 = combine_spectra(two, [cal], receiver, default_lineshape, tau_s=3600.0)
-        np.testing.assert_allclose(s2.sigma(), s1.sigma() / math.sqrt(2.0), rtol=1e-12)
+        assert np.all(s1.den > 0)
+        np.testing.assert_allclose(
+            1.0 / np.sqrt(s2.den), 1.0 / np.sqrt(s1.den) / math.sqrt(2.0), rtol=1e-12
+        )
+
+    def test_masked_accumulation_matches_boolean_gathers(self, default_lineshape):
+        """Two overlapping bands at different lattice offsets, each with
+        holes in its valid mask, add up bit for bit as the gather-and-
+        scatter form would."""
+        receiver = make_receiver()
+        cal = truth_cal(0, REF_NU, receiver)
+        rng = np.random.default_rng(11)
+        offsets = (0, 370)
+        spectra = []
+        for step, off in enumerate(offsets):
+            valid = np.ones(1000, dtype=bool)
+            valid[:40] = valid[-40:] = False
+            valid[300 + 50 * step : 320 + 50 * step] = False
+            valid[611 - step] = False
+            spectra.append(dataclasses.replace(
+                make_processed(step, REF_NU + off * 100.0, rng.standard_normal(1000),
+                               sigma=1e-3 * (1 + step)),
+                valid=valid,
+            ))
+        combined = combine_spectra(spectra, [cal], receiver, default_lineshape, tau_s=3600.0)
+
+        num, den = np.zeros(1370), np.zeros(1370)
+        n_contrib = np.zeros(1370, dtype=np.int32)
+        for p, off in zip(spectra, offsets):
+            a = _signal_coefficient(p, cal, receiver, default_lineshape, tau_s=3600.0, snr_ref=1.0)
+            var = p.sigma**2
+            sel = p.valid
+            a_sel = a[sel]
+            on = slice(off, off + p.n_bins)
+            num[on][sel] += a_sel * p.excess[sel] / var
+            den[on][sel] += a_sel**2 / var
+            n_contrib[on][sel] += 1
+        np.testing.assert_array_equal(combined.num, num)
+        np.testing.assert_array_equal(combined.den, den)
+        np.testing.assert_array_equal(combined.n_contrib, n_contrib)
+        assert combined.n_contrib.dtype == np.int32
+        assert list(np.unique(n_contrib)) == [0, 1, 2]
 
     def test_quadratic_weighting(self, default_lineshape):
         # 2:1 noise ratio between spectra must enter the weights as 4:1

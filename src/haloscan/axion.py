@@ -31,6 +31,7 @@ from .receiver import (
 
 # Discrete kernels must capture at least this fraction of the signal power.
 MIN_KERNEL_COVERAGE = 0.999
+DEFAULT_TAU_S = 3600.0  # s, the nominal integration time of one spectrum
 
 
 def mass_uev(nu_hz):
@@ -199,7 +200,7 @@ def canonical_kernel(nu_ref_hz, params):
     return weights[:stop]
 
 
-def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
+def reference_amplitude(hypothesis, receiver, params, tau_s=DEFAULT_TAU_S):
     """Total delivered signal power normalization A_ref (quanta * Hz).
 
     Defined so that a g = 1 axion sitting exactly on cavity resonance,
@@ -226,7 +227,7 @@ def reference_amplitude(hypothesis, receiver, params, tau_s=3600.0):
     return hypothesis.snr_ref * sigma / norm
 
 
-def bin_signal(nu_start, n_bins, hypothesis, receiver, params, tau_s=3600.0):
+def bin_signal(nu_start, n_bins, hypothesis, receiver, params, tau_s=DEFAULT_TAU_S):
     """Bin-averaged delivered signal PSD (quanta) on an analysis grid.
 
     Uses exact per-bin lineshape integrals at the hypothesis' true

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axion import LineshapeParams, bin_signal
+from .axion import DEFAULT_TAU_S, LineshapeParams, bin_signal
 from .errors import ConfigError
 from .receiver import cavity_reflectance, noise_total, squeezer_ratio, thermal_quanta
 from .spectra import CalibrationSet, RawSpectrum
@@ -35,9 +35,12 @@ STREAM_RESCAN = 4
 
 ANOMALY_TYPES = ("drift", "jpa_sag", "probe")
 
-DEFAULT_BIN_WIDTH_HZ = 100.0
 DEFAULT_N_BINS = 30000
-DEFAULT_TAU_S = 3600.0
+DEFAULT_CAL_EVERY = 9
+DEFAULT_T_HOT_K = 0.333
+DEFAULT_T_COLD_K = 0.061
+DEFAULT_N_COMPONENTS = (3, 5)
+DEFAULT_EXCURSION = 0.30
 
 
 def derive_seed(master_seed, stream, index, salt=0):
@@ -168,10 +171,10 @@ def _shared_baseline(model, n_bins):
 def make_baseline_model(
     master_seed,
     *,
-    n_components=(3, 5),
-    excursion=0.30,
-    step_components_max=2,
-    step_excursion=0.05,
+    n_components=DEFAULT_N_COMPONENTS,
+    excursion=DEFAULT_EXCURSION,
+    step_components_max=BaselineModel.step_components_max,
+    step_excursion=BaselineModel.step_excursion,
 ):
     if not 0 <= excursion < 1:
         raise ConfigError(f"baseline excursion must be in [0, 1), got {excursion!r}")
@@ -277,6 +280,11 @@ def draw_step_effects(
     return effective, metadata, spike
 
 
+def _lineshape_at(lineshape, bin_width_hz):
+    """``lineshape``, or the default lineshape at ``bin_width_hz`` if it is None."""
+    return LineshapeParams(bin_width_hz=float(bin_width_hz)) if lineshape is None else lineshape
+
+
 def simulate_spectrum(
     step,
     receiver,
@@ -286,7 +294,7 @@ def simulate_spectrum(
     hypotheses=(),
     lineshape=None,
     tau_s=DEFAULT_TAU_S,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
+    bin_width_hz=LineshapeParams.bin_width_hz,
     n_bins=DEFAULT_N_BINS,
     metadata=None,
     spike=None,
@@ -300,7 +308,7 @@ def simulate_spectrum(
     unmoved grid.
     """
     db = float(bin_width_hz)
-    ls = lineshape if lineshape is not None else LineshapeParams(bin_width_hz=db)
+    ls = _lineshape_at(lineshape, db)
     ls.check_bin_width(db)
     n_averages = _n_averages(tau_s, db)
     nu_start, _, refl = _band(step, receiver, db, n_bins)
@@ -349,10 +357,10 @@ def simulate_calibration(
     receiver,
     seed,
     *,
-    t_hot_k=0.333,
-    t_cold_k=0.061,
+    t_hot_k=DEFAULT_T_HOT_K,
+    t_cold_k=DEFAULT_T_COLD_K,
     tau_s=DEFAULT_TAU_S,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
+    bin_width_hz=LineshapeParams.bin_width_hz,
     n_bins=DEFAULT_N_BINS,
 ):
     """Five-spectrum calibration block at a tuning step.
@@ -421,8 +429,7 @@ def _simulate_step(
         anomaly_rate=anomaly_rate, anomaly_types=anomaly_types, n_bins=n_bins, salt=salt,
     )
     diag.update(extra or {})
-    if lineshape is None:
-        lineshape = LineshapeParams(bin_width_hz=float(bin_width_hz))
+    lineshape = _lineshape_at(lineshape, bin_width_hz)
     grid = {"lineshape": lineshape, "bin_width_hz": bin_width_hz, "n_bins": n_bins}
     in_band = [h for h in hypotheses if hypothesis_in_band(step, h, **grid)]
     return simulate_spectrum(
@@ -439,13 +446,13 @@ def simulate_campaign(
     hypotheses=(),
     lineshape=None,
     tau_s=DEFAULT_TAU_S,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
+    bin_width_hz=LineshapeParams.bin_width_hz,
     n_bins=DEFAULT_N_BINS,
     anomaly_rate=0.0,
     anomaly_types=ANOMALY_TYPES,
-    cal_every=9,
-    t_hot_k=0.333,
-    t_cold_k=0.061,
+    cal_every=DEFAULT_CAL_EVERY,
+    t_hot_k=DEFAULT_T_HOT_K,
+    t_cold_k=DEFAULT_T_COLD_K,
     threads=1,
 ):
     """Simulate every step of a plan; returns (spectra, calibration sets).
@@ -495,7 +502,7 @@ def simulate_rescans(
     hypotheses=(),
     lineshape=None,
     tau_s=DEFAULT_TAU_S,
-    bin_width_hz=DEFAULT_BIN_WIDTH_HZ,
+    bin_width_hz=LineshapeParams.bin_width_hz,
     n_bins=DEFAULT_N_BINS,
     threads=1,
 ):

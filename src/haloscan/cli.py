@@ -496,6 +496,8 @@ def main(argv=None):
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = args.out if args.out is not None else cfg.get("output", "directory")
+        if not out_dir.strip():
+            raise ConfigError("bad value for output.directory (--out): must not be empty")
         ws = Workspace(out_dir)
         os.makedirs(ws.root, exist_ok=True)
         _run_stages(STAGE_NAMES if command == "all" else (command,), cfg, ws)

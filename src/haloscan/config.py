@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import axion, campaign, inference
 from .axion import AxionHypothesis, LineshapeParams
 from .campaign import ANOMALY_TYPES, hypothesis_in_band, make_baseline_model, make_tuning_plan
 from .errors import ConfigError
@@ -37,7 +38,9 @@ def _parse_int(text):
     return int(value)
 
 
-def _parse_str(text):
+def _parse_directory(text):
+    if not text.strip():
+        raise ValueError("must not be empty")
     return text.strip()
 
 
@@ -84,9 +87,9 @@ def _parse_types(text):
     return items
 
 
-# section -> key -> (parser, default).  The parser takes the raw string and
-# refuses a value outside the key's own domain; rules that join keys, or
-# that a builder's constructor owns, are checked by _validate_cross_fields.
+# section -> key -> (parser, default), a default the library has read from it.
+# The parser refuses a value outside the key's own domain; rules that join
+# keys, or that a builder's constructor owns, are in _validate_cross_fields.
 _SCHEMA = {
     "campaign": {
         "lo_hz": (_bounded(_parse_float, 0, open_=True), 4.100e9),
@@ -96,9 +99,9 @@ _SCHEMA = {
         "master_seed": (_bounded(_parse_int, 0), 20260822),
     },
     "acquisition": {
-        "tau_s": (_bounded(_parse_float, 0, open_=True), 3600.0),
-        "bin_width_hz": (_bounded(_parse_float, 0, open_=True), 100.0),
-        "n_bins": (_bounded(_parse_int, 2), 30000),
+        "tau_s": (_bounded(_parse_float, 0, open_=True), axion.DEFAULT_TAU_S),
+        "bin_width_hz": (_bounded(_parse_float, 0, open_=True), LineshapeParams.bin_width_hz),
+        "n_bins": (_bounded(_parse_int, 2), campaign.DEFAULT_N_BINS),
     },
     "receiver": {
         "kappa_l_hz": (_parse_float, 88.1e3),
@@ -112,16 +115,16 @@ _SCHEMA = {
         "n_f": (_parse_optional_float, None),
     },
     "calibration": {
-        "cal_every": (_bounded(_parse_int, 1), 9),
-        "t_hot_k": (_parse_float, 0.333),
-        "t_cold_k": (_bounded(_parse_float, 0), 0.061),
+        "cal_every": (_bounded(_parse_int, 1), campaign.DEFAULT_CAL_EVERY),
+        "t_hot_k": (_parse_float, campaign.DEFAULT_T_HOT_K),
+        "t_cold_k": (_bounded(_parse_float, 0), campaign.DEFAULT_T_COLD_K),
     },
     "baseline": {
-        "n_components_lo": (_parse_int, 3),
-        "n_components_hi": (_parse_int, 5),
-        "excursion": (_parse_float, 0.30),
-        "step_components_max": (_parse_int, 2),
-        "step_excursion": (_parse_float, 0.05),
+        "n_components_lo": (_parse_int, campaign.DEFAULT_N_COMPONENTS[0]),
+        "n_components_hi": (_parse_int, campaign.DEFAULT_N_COMPONENTS[1]),
+        "excursion": (_parse_float, campaign.DEFAULT_EXCURSION),
+        "step_components_max": (_parse_int, campaign.BaselineModel.step_components_max),
+        "step_excursion": (_parse_float, campaign.BaselineModel.step_excursion),
     },
     "anomalies": {
         "rate": (_bounded(_parse_float, 0, 1), 0.0),
@@ -131,36 +134,36 @@ _SCHEMA = {
         "list": (_parse_pairs, ()),
     },
     "sensitivity": {
-        "snr_ref": (_bounded(_parse_float, 0, open_=True), 1.0),
-        "velocity_dispersion_kms": (_parse_float, 270.0),
-        "span_bins": (_parse_int, 512),
+        "snr_ref": (_bounded(_parse_float, 0, open_=True), AxionHypothesis.snr_ref),
+        "velocity_dispersion_kms": (_parse_float, LineshapeParams.velocity_dispersion_kms),
+        "span_bins": (_parse_int, LineshapeParams.span_bins),
     },
     "cuts": {
-        "drift_hz_max": (_parse_float, 20e3),
-        "squeezing_db_min": (_parse_optional_float, None),
-        "probe_power_lo": (_parse_float, 0.5),
-        "probe_power_hi": (_parse_float, 1.5),
+        "drift_hz_max": (_parse_float, CutCriteria.drift_hz_max),
+        "squeezing_db_min": (_parse_optional_float, CutCriteria.squeezing_db_min),
+        "probe_power_lo": (_parse_float, CutCriteria.probe_power_lo),
+        "probe_power_hi": (_parse_float, CutCriteria.probe_power_hi),
     },
     "filters": {
-        "if_window_bins": (_parse_int, 101),
-        "if_order": (_parse_int, 4),
-        "rf_window_bins": (_parse_int, 1001),
-        "rf_order": (_parse_int, 2),
+        "if_window_bins": (_parse_int, ProcessSettings.if_window_bins),
+        "if_order": (_parse_int, ProcessSettings.if_order),
+        "rf_window_bins": (_parse_int, ProcessSettings.rf_window_bins),
+        "rf_order": (_parse_int, ProcessSettings.rf_order),
     },
     "rescan": {
-        "threshold_sigma": (_parse_float, 3.455),
-        "merge_width_bins": (_parse_int, 90),
+        "threshold_sigma": (_parse_float, ProcessSettings.rescan_threshold_sigma),
+        "merge_width_bins": (_parse_int, ProcessSettings.merge_width_bins),
     },
     "inference": {
-        "target": (_bounded(_parse_float, 0, 1, open_=True), 0.1),
-        "g_lo": (_parse_float, 0.5),
-        "g_hi": (_parse_float, 5.0),
-        "g_points": (_bounded(_parse_int, 2), 200),
-        "n_windows": (_bounded(_parse_int, 1), 100),
-        "xtol": (_bounded(_parse_float, 0, open_=True), 1e-3),
+        "target": (_bounded(_parse_float, 0, 1, open_=True), inference.DEFAULT_TARGET),
+        "g_lo": (_parse_float, inference.DEFAULT_G_GRID[0]),
+        "g_hi": (_parse_float, inference.DEFAULT_G_GRID[1]),
+        "g_points": (_bounded(_parse_int, 2), inference.DEFAULT_G_GRID[2]),
+        "n_windows": (_bounded(_parse_int, 1), inference.DEFAULT_N_WINDOWS),
+        "xtol": (_bounded(_parse_float, 0, open_=True), inference.DEFAULT_XTOL),
     },
     "output": {
-        "directory": (_parse_str, "out"),
+        "directory": (_parse_directory, "out"),
     },
 }
 

@@ -40,6 +40,8 @@ from .pipeline import included, lattice_offset
 
 DEFAULT_TARGET = 0.1
 DEFAULT_G_GRID = (0.5, 5.0, 200)
+DEFAULT_N_WINDOWS = 100
+DEFAULT_XTOL = 1e-3
 
 
 def default_g_grid():
@@ -226,8 +228,8 @@ def run_exclusion(
     *,
     target=DEFAULT_TARGET,
     g_grid=None,
-    n_windows=100,
-    xtol=1e-3,
+    n_windows=DEFAULT_N_WINDOWS,
+    xtol=DEFAULT_XTOL,
     band_hz=None,
     metadata=None,
 ):
@@ -278,7 +280,8 @@ def exclusion_curve(initial, rescans=(), g_grid=None):
     return result.g_grid, result.aggregate_u
 
 
-def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=None, xtol=1e-3):
+def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=None,
+                       xtol=DEFAULT_XTOL):
     """Coupling where the aggregate update falls to the target.
 
     Returns (g_star or None, grid, curve).  With multiple grid crossings
@@ -288,7 +291,8 @@ def exclusion_coupling(initial, rescans=(), *, target=DEFAULT_TARGET, g_grid=Non
     return result.g_star, result.g_grid, result.aggregate_u
 
 
-def subaggregate_windows(initial, rescans=(), *, n_windows=100, g_grid=None, target=DEFAULT_TARGET):
+def subaggregate_windows(initial, rescans=(), *, n_windows=DEFAULT_N_WINDOWS, g_grid=None,
+                         target=DEFAULT_TARGET):
     """Per-window aggregate surface U_s plus the window 10% contours.
 
     Included bins are split, in frequency order, into n_windows

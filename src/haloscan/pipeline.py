@@ -547,7 +547,8 @@ def _empty_combination(spectra):
     )
 
 
-def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s, snr_ref=1.0, _into=None):
+def combine_spectra(processed, cal_results, geometry, lineshape, *, tau_s,
+                    snr_ref=AxionHypothesis.snr_ref, _into=None):
     """Maximum-likelihood combination onto the common 100 Hz RF grid.
 
     Each spectrum contributes to a bin with weight (per-bin SNR)^2, so
@@ -715,7 +716,8 @@ def check_persistence(candidates, rescan_grand, threshold_sigma, merge_width_bin
     return records
 
 
-def process_group(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
+def process_group(spectra, cal_results, geometry, lineshape, settings, *, tau_s,
+                  snr_ref=AxionHypothesis.snr_ref, threads=1):
     """Structure removal, combination and coadd for one group of spectra.
 
     Returns (grand, combined, processed step ids, filter report).  Two
@@ -753,7 +755,8 @@ class ProcessOutput:
     rescans: RescanList
 
 
-def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau_s, snr_ref=1.0, threads=1):
+def process_campaign(spectra, cal_results, geometry, lineshape, settings, *, tau_s,
+                     snr_ref=AxionHypothesis.snr_ref, threads=1):
     """Cuts, then ``process_group`` on the kept spectra, then rescan flags.
 
     Single-threaded; ``threads`` is accepted and ignored, so the output

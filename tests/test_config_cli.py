@@ -2,6 +2,7 @@
 
 import configparser
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -15,12 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haloscan.axion import mass_uev
-from haloscan.campaign import simulate_campaign
+from haloscan.axion import LineshapeParams, mass_uev
+from haloscan.campaign import make_baseline_model, simulate_campaign
 from haloscan.cli import main
 from haloscan.config import _SCHEMA, load_config
 from haloscan.errors import ConfigError, NumericError
-from haloscan.pipeline import read_grand_spectrum, write_grand_spectrum
+from haloscan.inference import default_g_grid, run_exclusion
+from haloscan.pipeline import (
+    ProcessSettings, process_campaign, read_grand_spectrum, write_grand_spectrum,
+)
 from haloscan.receiver import thermal_quanta
 from haloscan.spectra import read_spectrum, write_spectrum
 from conftest import REFERENCE_INI
@@ -269,6 +273,51 @@ class TestBuilders:
         assert settings.rescan_threshold_sigma == 3.455
         assert settings.cuts.drift_hz_max == 20e3
 
+    def test_empty_ini_builds_library_defaults(self, defaults):
+        """The schema reads its defaults from the library, so an empty INI
+        builds what a library call that leaves every keyword out uses."""
+        assert defaults.process_settings() == ProcessSettings()
+        assert defaults.lineshape() == LineshapeParams()
+        assert defaults.baseline_model() == make_baseline_model(defaults.master_seed)
+        simulate = keyword_defaults(simulate_campaign)
+        for keyword, (section, key) in {
+            "tau_s": ("acquisition", "tau_s"),
+            "bin_width_hz": ("acquisition", "bin_width_hz"),
+            "n_bins": ("acquisition", "n_bins"),
+            "anomaly_rate": ("anomalies", "rate"),
+            "anomaly_types": ("anomalies", "types"),
+            "cal_every": ("calibration", "cal_every"),
+            "t_hot_k": ("calibration", "t_hot_k"),
+            "t_cold_k": ("calibration", "t_cold_k"),
+        }.items():
+            assert defaults.get(section, key) == simulate[keyword], keyword
+        snr_ref = keyword_defaults(process_campaign)["snr_ref"]
+        assert defaults.get("sensitivity", "snr_ref") == snr_ref
+        exclusion = keyword_defaults(run_exclusion)
+        for key in ("target", "n_windows", "xtol"):
+            assert defaults.get("inference", key) == exclusion[key], key
+        np.testing.assert_array_equal(defaults.g_grid(), default_g_grid())
+
+
+def keyword_defaults(function):
+    """Parameter name -> default of a library function."""
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """The README's "Library use" block, run as written from the repository
+    root, reaches a finite exclusion on configs/ensemble.ini."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert 'load_config("configs/ensemble.ini"' in block
+    monkeypatch.chdir(root)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    g_star = namespace["excl"].g_star
+    assert g_star is not None and math.isfinite(g_star)
+    assert capsys.readouterr().out == f"{g_star}\n"
+
 
 # -- command line ---------------------------------------------------
 
@@ -384,6 +433,21 @@ class TestPipelineViaCli:
         assert len(curve) == 201
         assert (out / "exclusion" / "window_contours.csv").exists()
         assert (out / "exclusion" / "window_surface.csv").exists()
+
+    def test_unbracketed_target_writes_null_g_star(self, cli_run, tmp_path, caplog):
+        """A coupling grid that never reaches the target is a result, not an
+        error: g_star is null, every window contour is empty, and a warning says so."""
+        _, out_all = cli_run
+        out = tmp_path / "low"
+        shutil.copytree(out_all, out)
+        low = write_ini(tmp_path / "low.ini",
+                        SMALL_INI + "\n[inference]\ng_lo = 0.5\ng_hi = 0.6\ng_points = 5\n")
+        with caplog.at_level(logging.WARNING, logger="haloscan"):
+            assert run_cli("exclude", "--config", low, "--out", out) == 0
+        assert read_json(out / "exclusion" / "exclusion.json")["g_star"] is None
+        rows = (out / "exclusion" / "window_contours.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
+        assert "not bracketed" in caplog.text
 
     def test_exclusion_states_mass_window(self, cli_run):
         """The band and skip windows as axion masses h nu / e, ueV/c^2."""
@@ -657,8 +721,9 @@ BAD_VALUES = {
     ("inference", "g_points"): ["1"],
     ("inference", "n_windows"): ["0"],
     ("inference", "xtol"): ["0"],
+    ("output", "directory"): [""],
 }
-EXEMPT_KEYS = {("receiver", "gain_db"), ("cuts", "squeezing_db_min"), ("output", "directory")}
+EXEMPT_KEYS = {("receiver", "gain_db"), ("cuts", "squeezing_db_min")}
 
 
 def bad_value_cases():
@@ -854,6 +919,17 @@ class TestFailureModes:
         assert section in payload["message"]
         assert not out.exists()
 
+    def test_empty_out_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        """--out '' is refused like an empty [output] directory, not as the
+        exit-4 failure of creating a directory named ''."""
+        monkeypatch.chdir(tmp_path)
+        ini = write_ini(tmp_path / "ok.ini", SMALL_INI)
+        assert run_cli("all", "--config", ini, "--out", "") == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ConfigError"
+        assert "output.directory" in payload["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.ini"]
+
     def test_one_point_band_exits_2_at_load(self, tmp_path, capsys):
         """lo_hz == hi_hz is refused at load, naming both keys, rather than
         after three stages have written, when exclude needs lo < hi."""
@@ -926,6 +1002,16 @@ class TestFailureModes:
         payload = stderr_payload(capsys)
         assert payload["error"] == "DataError"
         assert "simulate" in payload["message"]
+
+    def test_process_before_calibrate_exits_4(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "three.ini", THREE_STEP_INI)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", ini, "--out", out) == 0
+        assert run_cli("process", "--config", ini, "--out", out) == 4
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DataError"
+        assert "calibration_results.json" in payload["message"]
+        assert "run calibrate first" in payload["message"]
 
     def test_calibrate_before_simulate_exits_4(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "ok.ini", SMALL_INI)

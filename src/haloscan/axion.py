@@ -25,8 +25,8 @@ from .receiver import (
     ELEMENTARY_CHARGE,
     PLANCK,
     SPEED_OF_LIGHT,
-    cavity_absorption,
-    visibility,
+    band_reflectance,
+    band_visibility,
 )
 
 # Discrete kernels must capture at least this fraction of the signal power.
@@ -59,11 +59,11 @@ class LineshapeParams:
     span_bins: int = 512
 
     def __post_init__(self):
-        if not (np.isfinite(self.velocity_dispersion_kms) and self.velocity_dispersion_kms > 0):
+        if not (math.isfinite(self.velocity_dispersion_kms) and self.velocity_dispersion_kms > 0):
             raise ConfigError(
                 f"velocity dispersion must be > 0, got {self.velocity_dispersion_kms!r}"
             )
-        if not (np.isfinite(self.bin_width_hz) and self.bin_width_hz > 0):
+        if not (math.isfinite(self.bin_width_hz) and self.bin_width_hz > 0):
             raise ConfigError(f"bin width must be > 0, got {self.bin_width_hz!r}")
         if self.span_bins < 8:
             raise ConfigError(f"kernel span must be >= 8 bins, got {self.span_bins!r}")
@@ -105,11 +105,11 @@ class AxionHypothesis:
     snr_ref: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.nu_a_hz) and self.nu_a_hz > 0):
+        if not (math.isfinite(self.nu_a_hz) and self.nu_a_hz > 0):
             raise ConfigError(f"axion frequency must be > 0, got {self.nu_a_hz!r}")
-        if not (np.isfinite(self.g_ksvz) and self.g_ksvz >= 0):
+        if not (math.isfinite(self.g_ksvz) and self.g_ksvz >= 0):
             raise ConfigError(f"coupling must be >= 0, got {self.g_ksvz!r}")
-        if not (np.isfinite(self.snr_ref) and self.snr_ref > 0):
+        if not (math.isfinite(self.snr_ref) and self.snr_ref > 0):
             raise ConfigError(f"reference sensitivity must be > 0, got {self.snr_ref!r}")
 
 
@@ -118,7 +118,7 @@ def lineshape(nu, nu_a, params):
 
     Zero below nu_a; integrates to 1 over nu >= nu_a.
     """
-    if not (np.isfinite(nu_a) and nu_a > 0):
+    if not (math.isfinite(nu_a) and nu_a > 0):
         raise ConfigError(f"axion frequency must be > 0, got {nu_a!r}")
     nu = np.asarray(nu, dtype=float)
     s = params.energy_scale(nu_a)
@@ -156,7 +156,7 @@ def lineshape_kernel(nu_a, params, grid_origin=0.0):
         Power fraction per bin, length ``params.span_bins``; sums to the
         kernel coverage (~1, never more).
     """
-    if not (np.isfinite(nu_a) and nu_a > 0):
+    if not (math.isfinite(nu_a) and nu_a > 0):
         raise ConfigError(f"axion frequency must be > 0, got {nu_a!r}")
     db = params.bin_width_hz
     s = params.energy_scale(nu_a)
@@ -174,14 +174,15 @@ def lineshape_kernel(nu_a, params, grid_origin=0.0):
     return first_bin, weights
 
 
-@functools.lru_cache(maxsize=64)
-def _centered_weights(nu_hz, params):
-    """Read-only ``lineshape_kernel`` weights of a rest frequency on a bin
-    center (its first bin is then 0), cached for the last 64 frequencies:
-    a campaign asks again for the same step frequencies in every seed."""
-    _, weights = lineshape_kernel(nu_hz, params, grid_origin=nu_hz)
+@functools.lru_cache(maxsize=128)
+def _kernel_weights(nu_a, params, grid_origin):
+    """``lineshape_kernel`` with read-only weights, cached for the last 128
+    (frequency, grid) pairs: every seed of an ensemble asks again for the
+    on-resonance kernels of the same steps and for the injected signals on
+    the same bands."""
+    first_bin, weights = lineshape_kernel(nu_a, params, grid_origin=grid_origin)
     weights.flags.writeable = False
-    return weights
+    return first_bin, weights
 
 
 def canonical_kernel(nu_ref_hz, params):
@@ -194,7 +195,7 @@ def canonical_kernel(nu_ref_hz, params):
     template length tracks the signal mass, not the configured span.
     Read-only.
     """
-    weights = _centered_weights(nu_ref_hz, params)
+    _, weights = _kernel_weights(nu_ref_hz, params, nu_ref_hz)
     cdf = np.cumsum(weights)
     stop = np.count_nonzero(cdf < MIN_KERNEL_COVERAGE) + 1  # cdf does not decrease
     return weights[:stop]
@@ -211,16 +212,16 @@ def reference_amplitude(hypothesis, receiver, params, tau_s=DEFAULT_TAU_S):
     ``visibility`` at g = 1, and radiometer sigma = 1/sqrt(bin_width tau),
     the matched mean is sqrt(sum (excess_k/sigma)^2), inverted here for A_ref.
     """
-    if not (np.isfinite(tau_s) and tau_s > 0):
+    if not (math.isfinite(tau_s) and tau_s > 0):
         raise ConfigError(f"integration time must be > 0, got {tau_s!r}")
     db = params.bin_width_hz
     sigma = 1.0 / math.sqrt(db * tau_s)
     # On-resonance reference: the axion sits exactly on the resonance bin
-    # center, and the kernel occupies bins at detunings k * bin_width.
-    weights = _centered_weights(receiver.nu_c, params)
-    deltas = np.arange(params.span_bins) * db
-    unit = AxionHypothesis(nu_a_hz=receiver.nu_c, g_ksvz=1.0)
-    per_bin = visibility(receiver, unit, deltas) * weights / db
+    # center, and the kernel occupies bins at detunings k * bin_width, the
+    # upper half of a band of 2 span_bins centred on resonance.
+    _, weights = _kernel_weights(receiver.nu_c, params, receiver.nu_c)
+    span = params.span_bins
+    per_bin = band_visibility(receiver, 1.0, 2 * span, db, 0.0)[span:] * weights / db
     norm = math.sqrt(float(np.sum(per_bin**2)))
     if norm <= 0.0:
         raise ConfigError("degenerate reference: signal template vanishes")
@@ -232,7 +233,9 @@ def bin_signal(nu_start, n_bins, hypothesis, receiver, params, tau_s=DEFAULT_TAU
 
     Uses exact per-bin lineshape integrals at the hypothesis' true
     (possibly off-grid) frequency, multiplied by the absorption profile at
-    each bin center.  Bins outside the kernel span carry zero.
+    each bin center, whose detuning is ``band_detunings`` from the
+    band centre ``nu_start + (n_bins // 2) * bin_width``.  Bins outside the
+    kernel span carry zero.
 
     Returns an array of length ``n_bins`` aligned with bin centers
     ``nu_start + k * bin_width``.
@@ -241,13 +244,13 @@ def bin_signal(nu_start, n_bins, hypothesis, receiver, params, tau_s=DEFAULT_TAU
     out = np.zeros(n_bins)
     if hypothesis.g_ksvz == 0.0:
         return out
-    first_bin, weights = lineshape_kernel(hypothesis.nu_a_hz, params, grid_origin=nu_start)
+    first_bin, weights = _kernel_weights(hypothesis.nu_a_hz, params, nu_start)
     a_ref = reference_amplitude(hypothesis, receiver, params, tau_s=tau_s)
     k = np.arange(params.span_bins) + first_bin
     inside = (k >= 0) & (k < n_bins)
     if not np.any(inside):
         return out
-    centers = nu_start + k[inside] * db
-    absorbed = cavity_absorption(centers - receiver.nu_c, receiver.kappa_l, receiver.beta)
+    offset = nu_start + (n_bins // 2) * db - receiver.nu_c
+    absorbed = 1.0 - band_reflectance(receiver, n_bins, db, offset)[k[inside]]
     out[k[inside]] = hypothesis.g_ksvz**2 * a_ref * absorbed * weights[inside] / db
     return out

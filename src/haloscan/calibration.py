@@ -21,14 +21,8 @@ import numpy as np
 
 from .artifacts import read_json, write_json
 from .errors import ConfigError, DataError
-from .receiver import (
-    VACUUM_QUANTA,
-    cavity_reflectance,
-    noise_total,
-    squeezer_ratio,
-    thermal_quanta,
-)
-from .spectra import at_recorded_tuning
+from .receiver import VACUUM_QUANTA, band_reflectance, noise_total, squeezer_ratio, thermal_quanta
+from .spectra import at_recorded_tuning, band_centre
 
 
 @dataclass(frozen=True)
@@ -167,6 +161,12 @@ def infer_added_noise(hot, cold, t_hot_k, t_cold_k):
     )
 
 
+def _reflectance(spectrum, geometry):
+    """The read-only cavity reflectance over a spectrum's bins at geometry.nu_c."""
+    offset = band_centre(spectrum) - geometry.nu_c
+    return band_reflectance(geometry, spectrum.n_bins, spectrum.bin_width_hz, offset)
+
+
 def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
     """Cavity excess noise from the on/off-resonance ratio, squeezer off.
 
@@ -177,8 +177,7 @@ def infer_cavity_noise(meas1, meas3, geometry, *, n_a=None):
     _check_shared_grid([meas1, meas3])
     if n_a is None:
         n_a = geometry.n_a
-    delta = meas3.frequencies - geometry.nu_c
-    refl = cavity_reflectance(delta, geometry.kappa_l, geometry.beta)
+    refl = _reflectance(meas3, geometry)
     absorbed = 1.0 - refl
 
     # the curve is defined only on bins that absorb
@@ -219,8 +218,7 @@ def infer_squeezing(meas2, meas3, eta, geometry, *, n_c0=None, n_a=None):
         n_c0 = geometry.n_c0
     if n_a is None:
         n_a = geometry.n_a
-    delta = meas3.frequencies - geometry.nu_c
-    refl = cavity_reflectance(delta, geometry.kappa_l, geometry.beta)
+    refl = _reflectance(meas3, geometry)
     # the curve is defined only on bins that reflect: at critical coupling
     # the on-resonance bin reflects nothing
     valid = refl > 1e-6

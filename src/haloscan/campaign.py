@@ -24,7 +24,7 @@ import numpy as np
 
 from .axion import DEFAULT_TAU_S, LineshapeParams, bin_signal
 from .errors import ConfigError
-from .receiver import cavity_reflectance, noise_total, squeezer_ratio, thermal_quanta
+from .receiver import band_noise, squeezer_ratio, thermal_quanta
 from .spectra import CalibrationSet, RawSpectrum
 
 STREAM_SPECTRUM = 0
@@ -36,6 +36,7 @@ STREAM_RESCAN = 4
 ANOMALY_TYPES = ("drift", "jpa_sag", "probe")
 
 DEFAULT_N_BINS = 30000
+DEFAULT_ANOMALY_RATE = 0.0
 DEFAULT_CAL_EVERY = 9
 DEFAULT_T_HOT_K = 0.333
 DEFAULT_T_COLD_K = 0.061
@@ -211,12 +212,14 @@ def band_start(step, bin_width_hz, n_bins):
     return step.nu_c_hz - (n_bins // 2) * bin_width_hz
 
 
-def _band(step, receiver, bin_width_hz, n_bins):
-    """(band start, bin centres, cavity reflectance at receiver.nu_c) of a step."""
-    nu_start = band_start(step, bin_width_hz, n_bins)
-    freqs = nu_start + np.arange(n_bins) * bin_width_hz
-    refl = cavity_reflectance(freqs - receiver.nu_c, receiver.kappa_l, receiver.beta)
-    return nu_start, freqs, refl
+def _band_noise(step, receiver, bin_width_hz, n_bins, s):
+    """The read-only noise total over a step's band at delivered squeezing s.
+
+    The band's centre bin sits on the step's nu_c, so its detunings are
+    ``band_detunings`` with offset nu_c - receiver.nu_c.
+    """
+    offset = step.nu_c_hz - receiver.nu_c
+    return band_noise(receiver, n_bins, bin_width_hz, offset, s)
 
 
 def _n_averages(tau_s, bin_width_hz):
@@ -236,7 +239,7 @@ def draw_step_effects(
     step_id,
     receiver,
     *,
-    anomaly_rate=0.0,
+    anomaly_rate=DEFAULT_ANOMALY_RATE,
     anomaly_types=ANOMALY_TYPES,
     n_bins=DEFAULT_N_BINS,
     salt=0,
@@ -311,8 +314,8 @@ def simulate_spectrum(
     ls = _lineshape_at(lineshape, db)
     ls.check_bin_width(db)
     n_averages = _n_averages(tau_s, db)
-    nu_start, _, refl = _band(step, receiver, db, n_bins)
-    total = noise_total(refl, receiver.n_c0, receiver.delivered, receiver.n_f, receiver.n_a)
+    nu_start = band_start(step, db, n_bins)
+    total = _band_noise(step, receiver, db, n_bins, receiver.delivered)
 
     signal = np.zeros(n_bins)
     for hyp in hypotheses:
@@ -377,12 +380,13 @@ def simulate_calibration(
         )
     db = float(bin_width_hz)
     n_averages = _n_averages(tau_s, db)
-    nu_start, freqs, refl = _band(step, receiver, db, n_bins)
-    n_c0, n_f, n_a = receiver.n_c0, receiver.n_f, receiver.n_a
+    nu_start = band_start(step, db, n_bins)
+    freqs = nu_start + np.arange(n_bins) * db
+    n_a = receiver.n_a
     totals = {
-        "meas1": np.full(n_bins, n_f + n_a),
-        "meas2": noise_total(refl, n_c0, receiver.delivered, n_f, n_a),
-        "meas3": noise_total(refl, n_c0, 1.0, n_f, n_a),
+        "meas1": np.full(n_bins, receiver.n_f + n_a),
+        "meas2": _band_noise(step, receiver, db, n_bins, receiver.delivered),
+        "meas3": _band_noise(step, receiver, db, n_bins, 1.0),
         "hot": thermal_quanta(freqs, t_hot_k) + n_a,
         "cold": thermal_quanta(freqs, t_cold_k) + n_a,
     }
@@ -420,7 +424,7 @@ def _at_step(receiver, step):
 
 def _simulate_step(
     plan, step, receiver, baseline_model, seed, *, hypotheses, lineshape, tau_s, bin_width_hz,
-    n_bins, anomaly_rate=0.0, anomaly_types=ANOMALY_TYPES, salt=0, extra=None,
+    n_bins, anomaly_rate=DEFAULT_ANOMALY_RATE, anomaly_types=ANOMALY_TYPES, salt=0, extra=None,
 ):
     """One science acquisition: draw the step's effects, keep the in-band
     hypotheses and simulate the spectrum; ``extra`` joins its metadata."""
@@ -448,7 +452,7 @@ def simulate_campaign(
     tau_s=DEFAULT_TAU_S,
     bin_width_hz=LineshapeParams.bin_width_hz,
     n_bins=DEFAULT_N_BINS,
-    anomaly_rate=0.0,
+    anomaly_rate=DEFAULT_ANOMALY_RATE,
     anomaly_types=ANOMALY_TYPES,
     cal_every=DEFAULT_CAL_EVERY,
     t_hot_k=DEFAULT_T_HOT_K,

@@ -127,7 +127,7 @@ _SCHEMA = {
         "step_excursion": (_parse_float, campaign.BaselineModel.step_excursion),
     },
     "anomalies": {
-        "rate": (_bounded(_parse_float, 0, 1), 0.0),
+        "rate": (_bounded(_parse_float, 0, 1), campaign.DEFAULT_ANOMALY_RATE),
         "types": (_parse_types, ANOMALY_TYPES),
     },
     "injections": {

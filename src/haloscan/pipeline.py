@@ -45,8 +45,8 @@ from .artifacts import read_array_file, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
-from .receiver import squeezer_ratio, visibility
-from .spectra import at_recorded_tuning, recorded_centre
+from .receiver import band_visibility, squeezer_ratio
+from .spectra import at_recorded_tuning, band_centre, recorded_centre
 
 # Kernel coverage below which a grand-spectrum bin is flagged invalid.
 MIN_SUPPORT = 0.999
@@ -499,17 +499,17 @@ def remove_structure(spectra, settings, lineshape, *, _fit=None):
 def _signal_coefficient(spectrum, cal, geometry, lineshape, tau_s, snr_ref):
     """Per-bin expected fractional excess of a g = 1 axion, from the
     measured calibration at the step's recorded tuning."""
-    receiver = dataclasses.replace(
-        at_recorded_tuning(geometry, spectrum),
+    receiver = at_recorded_tuning(
+        geometry, spectrum,
         n_c0=max(cal.n_c0_hat, 0.25),
         n_a=cal.n_a_hat,
         g_s=max(0.0, squeezer_ratio(geometry.eta, cal.s_hat)),
     )
-    nu_c = receiver.nu_c
-    hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=snr_ref)
+    hyp = AxionHypothesis(nu_a_hz=receiver.nu_c, g_ksvz=1.0, snr_ref=snr_ref)
     a_ref = reference_amplitude(hyp, receiver, lineshape, tau_s=tau_s)
-    freqs = spectrum.nu_start_hz + np.arange(spectrum.n_bins) * spectrum.bin_width_hz
-    return a_ref / spectrum.bin_width_hz * visibility(receiver, hyp, freqs - nu_c)
+    db = spectrum.bin_width_hz
+    offset = band_centre(spectrum) - receiver.nu_c
+    return a_ref / db * band_visibility(receiver, 1.0, spectrum.n_bins, db, offset)
 
 
 def lattice_offset(start_hz, bin_width_hz, grid_start_hz, grid_bin_width_hz, name):

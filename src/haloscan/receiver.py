@@ -18,11 +18,14 @@ in x = 2 delta / kappa, with c = 4 beta / (1 + beta)^2, c0 = S N_f + N_A and
 c1 = c (N_c0 - S N_f) (Malnou et al., PRX 9, 021023 (2019)).  This module
 is the one home of the model: the other modules call ``noise_total``,
 ``delivered_squeezing``, ``squeezer_ratio`` and ``visibility`` instead of
-writing the formulas out.
+writing the formulas out.  Over the bins of a band they call the
+``band_*`` functions, which share one detuning rule (``band_detunings``)
+and cache each per-bin shape once per receiver state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +65,7 @@ def thermal_quanta(nu, temperature):
     nu = np.asarray(nu, dtype=float)
     if not np.all(np.isfinite(nu)) or np.any(nu <= 0.0):
         raise ConfigError(f"frequency must be finite and positive, got {nu!r}")
-    if not np.isfinite(temperature) or temperature < 0.0:
+    if not math.isfinite(temperature) or temperature < 0.0:
         raise ConfigError(f"temperature must be finite and >= 0, got {temperature!r}")
     if temperature == 0.0:
         out = np.full_like(nu, VACUUM_QUANTA)
@@ -117,9 +120,8 @@ def cavity_reflectance(delta, kappa_l, beta):
     _check_geometry(kappa_l, beta)
     delta = np.asarray(delta, dtype=float)
     kappa_m = beta * kappa_l
-    num = (kappa_m - kappa_l) ** 2 + 4.0 * delta**2
-    den = (kappa_m + kappa_l) ** 2 + 4.0 * delta**2
-    out = num / den
+    four_delta2 = 4.0 * delta**2
+    out = ((kappa_m - kappa_l) ** 2 + four_delta2) / ((kappa_m + kappa_l) ** 2 + four_delta2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,13 +137,75 @@ def cavity_absorption(delta, kappa_l, beta):
 
 
 def _check_geometry(kappa_l, beta):
-    if not (np.isfinite(kappa_l) and kappa_l > 0.0):
+    if not (math.isfinite(kappa_l) and kappa_l > 0.0):
         raise ConfigError(f"kappa_l must be finite and > 0, got {kappa_l!r}")
-    if not (np.isfinite(beta) and beta > 0.0):
+    if not (math.isfinite(beta) and beta > 0.0):
         raise ConfigError(f"coupling ratio beta must be finite and > 0, got {beta!r}")
 
 
-@dataclass(frozen=True)
+def band_detunings(n_bins, bin_width_hz, offset_hz):
+    """Detunings from resonance of the bins of a band, Hz: the one detuning rule.
+
+    Bin k lies (k - n_bins // 2) * bin_width_hz from the band centre (bin
+    n_bins // 2), which lies offset_hz = band centre - nu_c from resonance.
+    On an integer-Hz grid this equals (nu_start + k * bin_width_hz) - nu_c
+    bit for bit.  On any other grid each detuning rounds at its own size,
+    where that difference of two 4 GHz numbers rounds at the size of 4 GHz.
+    """
+    return (np.arange(n_bins) - n_bins // 2) * bin_width_hz + offset_hz
+
+
+# The per-bin shapes of a band depend on the receiver state and the band's
+# detuning grid (n_bins, bin_width_hz, offset_hz), not on where the band
+# sits, so every step of a campaign shares them.  They are cached read-only
+# (the visibility as its 1 + x^2), keyed by shape parameters, never by nu_c.
+
+
+def band_reflectance(receiver, n_bins, bin_width_hz, offset_hz):
+    """Read-only ``cavity_reflectance`` over ``band_detunings``."""
+    return _reflectance_template(n_bins, bin_width_hz, offset_hz, receiver.kappa_l, receiver.beta)
+
+
+def band_noise(receiver, n_bins, bin_width_hz, offset_hz, s):
+    """Read-only ``noise_total`` over ``band_detunings`` at delivered squeezing s."""
+    return _noise_template(n_bins, bin_width_hz, offset_hz, receiver.kappa_l, receiver.beta,
+                           receiver.n_c0, s, receiver.n_f, receiver.n_a)
+
+
+def band_visibility(receiver, g, n_bins, bin_width_hz, offset_hz):
+    """``visibility`` at coupling g over ``band_detunings``, a new array.
+
+    The per-bin shape 1 + x^2 is the cached part: it depends on the loaded
+    linewidth alone, so the calibrations of a campaign share it, and only
+    the receiver's three Lorentzian constants are applied per call.
+    """
+    return _alpha(_lorentzian(receiver, g),
+                  _lorentzian_shape(receiver.kappa, n_bins, bin_width_hz, offset_hz))
+
+
+def _read_only(out):
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _reflectance_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta):
+    delta = band_detunings(n_bins, bin_width_hz, offset_hz)
+    return _read_only(cavity_reflectance(delta, kappa_l, beta))
+
+
+@functools.lru_cache(maxsize=4)
+def _noise_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta, n_c0, s, n_f, n_a):
+    refl = _reflectance_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta)
+    return _read_only(noise_total(refl, n_c0, s, n_f, n_a))
+
+
+@functools.lru_cache(maxsize=4)
+def _lorentzian_shape(kappa, n_bins, bin_width_hz, offset_hz):
+    return _read_only(_shape(kappa, band_detunings(n_bins, bin_width_hz, offset_hz)))
+
+
+@dataclass(frozen=True, slots=True)
 class ReceiverParams:
     """Operating point of the receiver chain.
 
@@ -181,24 +245,24 @@ class ReceiverParams:
     g_a_db: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.nu_c) and self.nu_c > 0.0):
+        if not (math.isfinite(self.nu_c) and self.nu_c > 0.0):
             raise ConfigError(f"nu_c must be finite and > 0, got {self.nu_c!r}")
         _check_geometry(self.kappa_l, self.beta)
-        if not (np.isfinite(self.n_c0) and self.n_c0 >= VACUUM_QUANTA):
+        if not (math.isfinite(self.n_c0) and self.n_c0 >= VACUUM_QUANTA):
             raise ConfigError(
                 f"cavity noise must be >= vacuum floor {VACUUM_QUANTA}, got {self.n_c0!r}"
             )
-        if not (np.isfinite(self.n_f) and self.n_f >= VACUUM_QUANTA):
+        if not (math.isfinite(self.n_f) and self.n_f >= VACUUM_QUANTA):
             raise ConfigError(
                 f"input field noise must be >= vacuum floor {VACUUM_QUANTA}, got {self.n_f!r}"
             )
-        if not (np.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
+        if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
             raise ConfigError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not (np.isfinite(self.g_s) and self.g_s >= 0.0):
+        if not (math.isfinite(self.g_s) and self.g_s >= 0.0):
             raise ConfigError(f"g_s must be >= 0, got {self.g_s!r}")
-        if not (np.isfinite(self.n_a) and self.n_a >= 0.0):
+        if not (math.isfinite(self.n_a) and self.n_a >= 0.0):
             raise ConfigError(f"added noise must be >= 0, got {self.n_a!r}")
-        if not np.isfinite(self.g_a_db):
+        if not math.isfinite(self.g_a_db):
             raise ConfigError(f"amplifier gain must be finite, got {self.g_a_db!r}")
 
     @property
@@ -305,9 +369,19 @@ def visibility(params, hypothesis, delta):
     delta = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta)):
         raise ConfigError("detunings must be finite")
-    a0, c0, c1 = _lorentzian(params, hypothesis.g_ksvz)
-    alpha = a0 / (c0 * (1.0 + (2.0 * delta / params.kappa) ** 2) + c1)
+    alpha = _alpha(_lorentzian(params, hypothesis.g_ksvz), _shape(params.kappa, delta))
     return float(alpha) if alpha.ndim == 0 else alpha
+
+
+def _shape(kappa, delta):
+    """1 + x^2 in x = 2 delta / kappa."""
+    return 1.0 + (2.0 * delta / kappa) ** 2
+
+
+def _alpha(lorentzian, shape):
+    """The Lorentzian a0 / (c0 (1 + x^2) + c1) over a ``_shape``; no checks."""
+    a0, c0, c1 = lorentzian
+    return a0 / (c0 * shape + c1)
 
 
 def scan_rate(params, hypothesis, window_linewidths=20.0):

@@ -128,17 +128,22 @@ def recorded(spectrum, key, default):
     return float(value)
 
 
+def band_centre(spectrum):
+    """Centre of bin n_bins // 2, which ``campaign.band_start`` puts on the step's nu_c."""
+    return spectrum.nu_start_hz + (spectrum.n_bins // 2) * spectrum.bin_width_hz
+
+
 def recorded_centre(spectrum):
-    """The recorded ``nu_c_hz``, else the band centre ``campaign.band_start`` implies."""
-    centre = spectrum.nu_start_hz + (spectrum.n_bins // 2) * spectrum.bin_width_hz
-    return recorded(spectrum, "nu_c_hz", centre)
+    """The recorded ``nu_c_hz``, else the ``band_centre``."""
+    return recorded(spectrum, "nu_c_hz", band_centre(spectrum))
 
 
-def at_recorded_tuning(geometry, spectrum):
+def at_recorded_tuning(geometry, spectrum, **changes):
     """``geometry`` tuned as the spectrum was taken: its recorded ``nu_c_hz``
-    (else its band centre) and ``beta`` (else the geometry's own)."""
+    (else its band centre) and ``beta`` (else the geometry's own), with any
+    other field ``changes`` sets."""
     beta = recorded(spectrum, "beta", geometry.beta)
-    return replace(geometry, nu_c=recorded_centre(spectrum), beta=beta)
+    return replace(geometry, nu_c=recorded_centre(spectrum), beta=beta, **changes)
 
 
 def write_spectrum(spectrum, path):

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import numpy.fft  # noqa: F401  numpy loads it on first use; here, no stage pays for it
 
-from haloscan import axion, campaign, cli, pipeline
+from haloscan import axion, campaign, cli, pipeline, receiver
 from haloscan.config import load_config
 from haloscan.inference import run_exclusion
 from haloscan.pipeline import STAGE2_CHUNK, GrandSpectrum, read_grand_spectrum
@@ -54,7 +54,8 @@ SIMULATE_BOUND = 30 * SPECTRUM_BYTES
 # padded to 4,320 bins and the convolution), plus the filter-transfer
 # measurement, the coadd over the RF grid, the rescans and, with the caches
 # cold, the cached on-resonance lineshape weights of the 40 step
-# frequencies (about 5 spectra): about 27 spectra in all.
+# frequencies (about 5 spectra) and the visibility's cached 1 + x^2 over the
+# band (1 spectrum): about 28 spectra in all.
 PROCESS_BOUND = (7 * STAGE2_CHUNK + 20) * SPECTRUM_BYTES
 
 # In float64 arrays over the RF grid.  The coadd's result alone is about
@@ -71,8 +72,10 @@ EXCLUDE_STAGE_BOUND = 17.5
 
 # Every cache a stage fills, so that a stage traced after another test has
 # warmed them still pays for what it caches.
-CACHES = (axion._centered_weights, campaign._shared_baseline, pipeline._savgol_kernel,
-          pipeline._kernel_spectrum, pipeline.measure_filter_transfer)
+CACHES = (axion._kernel_weights, campaign._shared_baseline, pipeline._savgol_kernel,
+          pipeline._kernel_spectrum, pipeline.measure_filter_transfer,
+          receiver._reflectance_template, receiver._noise_template,
+          receiver._lorentzian_shape)
 
 
 def peak_traced_bytes(stage, cfg, ws):
@@ -166,3 +169,24 @@ def test_exclusion_holds_few_grid_arrays():
         tracemalloc.stop()
     assert result.g_star is not None
     assert peak <= EXCLUSION_BOUND, peak
+
+
+def test_templates_miss_once_per_receiver_state(tmp_path):
+    """One fresh ``haloscan all`` on the five-step config computes each
+    per-bin receiver template once per receiver state: a key that held
+    nu_c would miss once per step."""
+    from test_config_cli import SMALL_INI
+
+    ini = tmp_path / "five.ini"
+    ini.write_text(SMALL_INI)
+    for cache in CACHES:
+        cache.cache_clear()
+    assert cli.main(["all", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    # One cavity geometry; the science (and meas2) and meas3 noise, squeezer
+    # on and off; one loaded linewidth on the band and on the reference band.
+    expected = {receiver._reflectance_template: 1, receiver._noise_template: 2,
+                receiver._lorentzian_shape: 2}
+    for template, states in expected.items():
+        info = template.cache_info()
+        assert info.misses == states, (template.__name__, info)
+        assert info.hits > 0, (template.__name__, info)

@@ -38,6 +38,7 @@ from haloscan import (
     simulate_campaign,
     write_grand_spectrum,
 )
+from haloscan.axion import reference_amplitude
 from haloscan.pipeline import (
     MIN_SUPPORT,
     STAGE2_CHUNK,
@@ -49,6 +50,7 @@ from haloscan.pipeline import (
     _signal_coefficient,
     process_group,
 )
+from haloscan.receiver import squeezer_ratio, visibility
 from conftest import REF_NU, join_array_file, make_receiver, split_array_file
 
 # RF window sized for the 4000-bin test bands (defaults assume 30000)
@@ -559,6 +561,25 @@ class TestRecordedStepMetadata:
             self.den(geometry, default_lineshape),
             self.den(geometry, default_lineshape, nu_c_hz=centre),
         )
+
+    @pytest.mark.parametrize("nu_c", [REF_NU, REF_NU + 12345.6])
+    def test_signal_coefficient_equals_per_step_formula(self, default_lineshape, nu_c):
+        """The band detuning rule gives the coefficient of the per-step
+        differences (nu_start + k * bin_width) - nu_c bit for bit, with the
+        recorded tuning on the band centre or off it."""
+        geometry = make_receiver()
+        raw = make_raw(n=2000, nu_start=self.NU_START, nu_c_hz=nu_c, beta=5.0)
+        cal = dataclasses.replace(truth_cal(0, REF_NU, geometry), n_c0_hat=0.45, s_hat=0.5)
+        receiver = dataclasses.replace(
+            dataclasses.replace(geometry, nu_c=nu_c, beta=5.0),
+            n_c0=0.45, n_a=cal.n_a_hat, g_s=squeezer_ratio(geometry.eta, 0.5),
+        )
+        hyp = AxionHypothesis(nu_a_hz=nu_c, g_ksvz=1.0, snr_ref=2.0)
+        a_ref = reference_amplitude(hyp, receiver, default_lineshape, tau_s=600.0)
+        freqs = raw.nu_start_hz + np.arange(raw.n_bins) * raw.bin_width_hz
+        expected = a_ref / raw.bin_width_hz * visibility(receiver, hyp, freqs - nu_c)
+        got = _signal_coefficient(raw, cal, geometry, default_lineshape, 600.0, 2.0)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize(
         "meta", [{"nu_c_hz": "4.14e9"}, {"beta": "7.1"}, {"beta": 0.0}, {"nu_c_hz": True}]

@@ -7,6 +7,8 @@ and are frozen here as literals.
 
 import dataclasses
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from haloscan import (
     AxionHypothesis,
     ConfigError,
     CouplingAtBoundary,
+    LineshapeParams,
     NumericError,
     ReceiverParams,
+    canonical_kernel,
     cavity_absorption,
     cavity_reflectance,
     delivered_squeezing,
@@ -31,7 +35,18 @@ from haloscan import (
     thermal_quanta,
     visibility,
 )
-from conftest import make_receiver
+from haloscan.axion import _kernel_weights
+from haloscan.campaign import band_start, make_tuning_plan
+from haloscan.config import load_config
+from haloscan.receiver import (
+    _lorentzian_shape,
+    band_detunings,
+    band_noise,
+    band_reflectance,
+    band_visibility,
+)
+from haloscan.spectra import band_centre
+from conftest import CONFIG_DIR, make_receiver
 
 # (1/4) coth(h nu / 2 k_B T), frozen from a 50-digit mpmath evaluation
 THERMAL_61MK = 0.2700188402274722
@@ -469,3 +484,96 @@ class TestReceiverParams:
 
         with pytest.raises(ConfigError):
             dataclasses.replace(ref_receiver, **{field: value})
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def empty_ini(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    return str(path)
+
+
+class TestBandTemplates:
+    """The one detuning rule and the read-only per-bin shapes built on it."""
+
+    @pytest.mark.parametrize("ini", ["reference.ini", "ensemble.ini", None])
+    def test_detunings_equal_per_step_formula_bit_for_bit(self, ini, tmp_path):
+        cfg = load_config(os.path.join(CONFIG_DIR, ini) if ini else empty_ini(tmp_path))
+        n = cfg.get("acquisition", "n_bins")
+        db = cfg.get("acquisition", "bin_width_hz")
+        steps = cfg.tuning_plan().steps
+        assert len(steps) >= 50
+        k = np.arange(n)
+        for step in steps:
+            nu_start = band_start(step, db, n)
+            band = SimpleNamespace(nu_start_hz=nu_start, n_bins=n, bin_width_hz=db)
+            drifted = step.nu_c_hz + 123456.789  # a drift anomaly's resonance
+            for nu_c in (step.nu_c_hz, drifted):
+                per_step = (nu_start + k * db) - nu_c
+                for offset in (step.nu_c_hz - nu_c, band_centre(band) - nu_c):
+                    np.testing.assert_array_equal(bits(band_detunings(n, db, offset)),
+                                                  bits(per_step))
+
+    def test_off_integer_grid_matches_per_step_formula(self):
+        n, db = 30000, 99.7
+        plan = make_tuning_plan(4.1500000123e9, 4.1503400123e9, 85e3)
+        for step in plan.steps:
+            rx = make_receiver(nu_c=step.nu_c_hz)
+            nu_start = band_start(step, db, n)
+            delta = (nu_start + np.arange(n) * db) - rx.nu_c
+            for offset in (0.0, nu_start + (n // 2) * db - rx.nu_c):
+                np.testing.assert_allclose(
+                    band_reflectance(rx, n, db, offset),
+                    cavity_reflectance(delta, rx.kappa_l, rx.beta), rtol=1e-12, atol=0)
+                hyp = AxionHypothesis(nu_a_hz=rx.nu_c, g_ksvz=1.3)
+                np.testing.assert_allclose(
+                    band_visibility(rx, 1.3, n, db, offset), visibility(rx, hyp, delta),
+                    rtol=1e-12, atol=0)
+
+    def test_templates_are_read_only(self):
+        rx = make_receiver()
+        ls = LineshapeParams()
+        templates = [
+            band_reflectance(rx, 4000, 100.0, 0.0),
+            band_noise(rx, 4000, 100.0, 0.0, rx.delivered),
+            band_noise(rx, 4000, 100.0, 0.0, 1.0),
+            _lorentzian_shape(rx.kappa, 4000, 100.0, 0.0),
+            _kernel_weights(4.15e9, ls, 4.1498e9)[1],
+            canonical_kernel(4.15e9, ls),
+        ]
+        for template in templates:
+            with pytest.raises(ValueError):
+                template[0] = 1.0
+            with pytest.raises(ValueError):
+                template *= 2.0
+
+    def test_band_visibility_is_a_new_array(self):
+        rx = make_receiver()
+        alpha = band_visibility(rx, 1.0, 4000, 100.0, 0.0)
+        assert not np.shares_memory(alpha, _lorentzian_shape(rx.kappa, 4000, 100.0, 0.0))
+        alpha *= 2.0  # the combine squares its coefficient in place
+
+
+GOOD_SCALARS = [
+    (ReceiverParams, dict(nu_c=4.15e9, kappa_l=88.1e3, beta=7.1, n_c0=0.41, n_f=0.27, eta=0.7,
+                          g_s=0.1, n_a=0.03, g_a_db=60.0)),
+    (AxionHypothesis, dict(nu_a_hz=4.15e9, g_ksvz=1.0, snr_ref=1.0)),
+    (LineshapeParams, dict(velocity_dispersion_kms=270.0, bin_width_hz=100.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,field", [(cls, field) for cls, good in GOOD_SCALARS for field in good],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_non_finite_scalars_raise(cls, field):
+    """NaN and +-inf raise ConfigError as Python floats and as np.float64."""
+    good = dict(GOOD_SCALARS)[cls]
+    cls(**good)
+    for bad in (math.nan, math.inf, -math.inf):
+        for value in (bad, np.float64(bad)):
+            with pytest.raises(ConfigError):
+                cls(**dict(good, **{field: value}))

@@ -84,7 +84,6 @@ from .pipeline import (
 from .receiver import (
     NoiseBudget,
     ReceiverParams,
-    cavity_absorption,
     cavity_reflectance,
     delivered_squeezing,
     noise_budget,

@@ -18,12 +18,15 @@ Version 1 was a text format; it is refused with a request to re-run the
 stages that write it.  Every JSON input, a results file or a run record,
 is read by ``read_json``.  Every writer here goes through ``atomic_open``:
 the file is written as ``<path>.tmp`` and renamed over the target, so a
-reader never sees a half-written artifact.
+reader never sees a half-written artifact.  Every cache is a ``frozen_cache``,
+whose results are read-only and which ``CACHES`` lists.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
 import os
 
@@ -32,6 +35,35 @@ import numpy as np
 from .errors import DataError
 
 FORMAT_VERSION = 2
+
+CACHES = []
+
+
+def read_only(value):
+    """Freeze ``value``'s arrays: itself, a (nested) tuple's items or a dataclass's fields."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            read_only(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            read_only(getattr(value, field.name))
+    return value
+
+
+def frozen_cache(maxsize):
+    """An ``lru_cache(maxsize)`` in ``CACHES`` whose new results go through ``read_only``."""
+    def decorate(func):
+        @functools.lru_cache(maxsize)
+        @functools.wraps(func)
+        def cached(*args, **kwargs):
+            return read_only(func(*args, **kwargs))
+
+        CACHES.append(cached)
+        return cached
+
+    return decorate
 
 
 @contextlib.contextmanager

@@ -14,12 +14,12 @@ benchmark model coupling at that mass).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import frozen_cache
 from .errors import ConfigError
 from .receiver import (
     ELEMENTARY_CHARGE,
@@ -174,15 +174,13 @@ def lineshape_kernel(nu_a, params, grid_origin=0.0):
     return first_bin, weights
 
 
-@functools.lru_cache(maxsize=128)
+@frozen_cache(maxsize=128)
 def _kernel_weights(nu_a, params, grid_origin):
     """``lineshape_kernel`` with read-only weights, cached for the last 128
     (frequency, grid) pairs: every seed of an ensemble asks again for the
     on-resonance kernels of the same steps and for the injected signals on
     the same bands."""
-    first_bin, weights = lineshape_kernel(nu_a, params, grid_origin=grid_origin)
-    weights.flags.writeable = False
-    return first_bin, weights
+    return lineshape_kernel(nu_a, params, grid_origin=grid_origin)
 
 
 def canonical_kernel(nu_ref_hz, params):

@@ -16,12 +16,12 @@ shortcut.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import frozen_cache
 from .axion import DEFAULT_TAU_S, LineshapeParams, bin_signal
 from .errors import ConfigError
 from .receiver import band_noise, squeezer_ratio, thermal_quanta
@@ -153,7 +153,7 @@ class BaselineModel:
         return base * wiggle
 
 
-@functools.lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _shared_baseline(model, n_bins):
     """(band position t, shared component) on an n_bins grid, read-only.
 
@@ -164,8 +164,6 @@ def _shared_baseline(model, n_bins):
     base = np.ones(n_bins)
     for order, amp, phase in zip(model.shared_orders, model.shared_amps, model.shared_phases):
         base += amp * np.cos(2.0 * np.pi * order * t + phase)
-    t.flags.writeable = False
-    base.flags.writeable = False
     return t, base
 
 

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_array_file, write_array_file
+from .artifacts import frozen_cache, read_array_file, read_only, write_array_file
 from .axion import AxionHypothesis, canonical_kernel, reference_amplitude
 from .calibration import assign_calibrations
 from .errors import ConfigError, DataError
@@ -256,7 +255,7 @@ def apply_cuts(spectra, criteria):
     return kept, CutLog(kept_ids=tuple(s.step_id for s in kept), cut=cut)
 
 
-@functools.lru_cache(maxsize=None)
+@frozen_cache(maxsize=None)
 def _savgol_kernel(window, order):
     """Savitzky-Golay smoothing kernel, read-only.
 
@@ -269,9 +268,7 @@ def _savgol_kernel(window, order):
     vander = t ** np.arange(order + 1, dtype=float)[:, None]
     unit = np.zeros(order + 1)
     unit[0] = 1.0
-    kernel = np.linalg.lstsq(vander, unit, rcond=np.finfo(float).eps * window)[0]
-    kernel.flags.writeable = False
-    return kernel
+    return np.linalg.lstsq(vander, unit, rcond=np.finfo(float).eps * window)[0]
 
 
 def _fft_length(n):
@@ -293,14 +290,12 @@ def _fft_length(n):
     return best
 
 
-@functools.lru_cache(maxsize=32)
+@frozen_cache(maxsize=32)
 def _kernel_spectrum(window, order, n_bins):
     """(n_fft, rfft of the kernel), n_fft = ``_fft_length(n_bins + window - 1)``,
     so the FFT product is a linear convolution."""
     n_fft = _fft_length(n_bins + window - 1)
-    spectrum = np.fft.rfft(_savgol_kernel(window, order), n_fft)
-    spectrum.flags.writeable = False
-    return n_fft, spectrum
+    return n_fft, np.fft.rfft(_savgol_kernel(window, order), n_fft)
 
 
 def _savgol_interp(x, window, order):
@@ -367,7 +362,7 @@ def _lag_autocovariance(h1, h2, n_spectra):
     return gamma
 
 
-@functools.lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz):
     """Filter characterization by synthetic injection through the real path.
 
@@ -408,13 +403,11 @@ def measure_filter_transfer(settings, lineshape, n_spectra, n_bins, *, nu_ref_hz
     wide = run(wide_shape)
     h1 = _savgol_kernel(settings.if_window_bins, settings.if_order)
     h2 = _savgol_kernel(settings.rf_window_bins, settings.rf_order)
-    gamma = _lag_autocovariance(h1, h2, m)
-    gamma.flags.writeable = False
     return FilterReport(
         n_spectra=m,
         t_signal=t_signal,
         wide_suppression=wide,
-        gamma=gamma,
+        gamma=_lag_autocovariance(h1, h2, m),
         kernel=weights,
     )
 
@@ -454,8 +447,7 @@ def _fit_stage_one(spectra, settings, lineshape):
     trim = _edge_trim(settings)
     valid = np.zeros(n_bins, dtype=bool)
     valid[trim : n_bins - trim] = True
-    valid.flags.writeable = False
-    return _StageOne(baseline=baseline, report=report, valid=valid, trim=trim)
+    return _StageOne(baseline=baseline, report=report, valid=read_only(valid), trim=trim)
 
 
 def remove_structure(spectra, settings, lineshape, *, _fit=None):

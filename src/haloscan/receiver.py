@@ -25,12 +25,12 @@ and cache each per-bin shape once per receiver state.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import frozen_cache
 from .errors import ConfigError, CouplingAtBoundary, NumericError
 
 # Exact SI defining constants (2019 redefinition): speed of light (m/s),
@@ -125,17 +125,6 @@ def cavity_reflectance(delta, kappa_l, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def cavity_absorption(delta, kappa_l, beta):
-    """Fraction of incident power absorbed by (delivered into) the cavity.
-
-    Computed as the exact complement 1 - |Gamma|^2 so that energy balance
-    holds to the last bit; algebraically it equals
-    4 beta / (1 + beta)^2 * (kappa/2)^2 / ((kappa/2)^2 + delta^2)
-    with kappa = kappa_l (1 + beta).
-    """
-    return 1.0 - cavity_reflectance(delta, kappa_l, beta)
-
-
 def _check_geometry(kappa_l, beta):
     if not (math.isfinite(kappa_l) and kappa_l > 0.0):
         raise ConfigError(f"kappa_l must be finite and > 0, got {kappa_l!r}")
@@ -183,26 +172,20 @@ def band_visibility(receiver, g, n_bins, bin_width_hz, offset_hz):
                   _lorentzian_shape(receiver.kappa, n_bins, bin_width_hz, offset_hz))
 
 
-def _read_only(out):
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _reflectance_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta):
-    delta = band_detunings(n_bins, bin_width_hz, offset_hz)
-    return _read_only(cavity_reflectance(delta, kappa_l, beta))
+    return cavity_reflectance(band_detunings(n_bins, bin_width_hz, offset_hz), kappa_l, beta)
 
 
-@functools.lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _noise_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta, n_c0, s, n_f, n_a):
     refl = _reflectance_template(n_bins, bin_width_hz, offset_hz, kappa_l, beta)
-    return _read_only(noise_total(refl, n_c0, s, n_f, n_a))
+    return noise_total(refl, n_c0, s, n_f, n_a)
 
 
-@functools.lru_cache(maxsize=4)
+@frozen_cache(maxsize=4)
 def _lorentzian_shape(kappa, n_bins, bin_width_hz, offset_hz):
-    return _read_only(_shape(kappa, band_detunings(n_bins, bin_width_hz, offset_hz)))
+    return _shape(kappa, band_detunings(n_bins, bin_width_hz, offset_hz))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +214,7 @@ class ReceiverParams:
     n_a : float
         Flat amplifier-added noise referred to the amplifier input, quanta.
     g_a_db : float
-        Amplifier power gain in dB (bookkeeping only; cancels everywhere).
+        Amplifier power gain in dB, within +-1000 (bookkeeping only; cancels everywhere).
     """
 
     nu_c: float
@@ -262,8 +245,8 @@ class ReceiverParams:
             raise ConfigError(f"g_s must be >= 0, got {self.g_s!r}")
         if not (math.isfinite(self.n_a) and self.n_a >= 0.0):
             raise ConfigError(f"added noise must be >= 0, got {self.n_a!r}")
-        if not math.isfinite(self.g_a_db):
-            raise ConfigError(f"amplifier gain must be finite, got {self.g_a_db!r}")
+        if not (math.isfinite(self.g_a_db) and abs(self.g_a_db) <= 1000.0):
+            raise ConfigError(f"amplifier gain must be within +-1000 dB, got {self.g_a_db!r}")
 
     @property
     def kappa(self):
@@ -489,8 +472,6 @@ def report_enhancement(params_squeezed, params_unsqueezed, hypothesis):
     -------
     dict with keys ``beta_squeezed``, ``beta_unsqueezed``, ``rate_ratio``.
     """
-    from dataclasses import replace
-
     beta_sq = optimize_coupling(
         params_squeezed.delivered,
         params_squeezed.n_c0,

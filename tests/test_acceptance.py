@@ -12,6 +12,7 @@ import math
 import os
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,9 +368,7 @@ def test_08_exclusion_machinery(capsys, reference_run):
     out, elapsed = reference_run
     campaign_g, contours = read_exclusion(out)
     finite = np.isfinite(contours)
-    surface_rows = (
-        open(os.path.join(out, "exclusion", "window_surface.csv")).read().splitlines()
-    )
+    surface_rows = Path(out, "exclusion", "window_surface.csv").read_text().splitlines()
 
     ok = (
         closed_err <= 1e-6

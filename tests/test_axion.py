@@ -172,16 +172,15 @@ class TestBinSignal:
         assert not np.any(sig)
 
     def test_detuned_deposit_follows_absorption(self):
-        from haloscan import cavity_absorption
+        from test_receiver import absorption
 
         on = AxionHypothesis(nu_a_hz=NU_A, g_ksvz=1.0)
         off_delta = 300e3
         off = AxionHypothesis(nu_a_hz=NU_A + off_delta, g_ksvz=1.0)
         s_on = bin_signal(self.nu_start, self.n_bins, on, self.receiver, self.params)
         s_off = bin_signal(self.nu_start, self.n_bins, off, self.receiver, self.params)
-        expected = cavity_absorption(
-            off_delta, self.receiver.kappa_l, self.receiver.beta
-        ) / cavity_absorption(0.0, self.receiver.kappa_l, self.receiver.beta)
+        kl, beta = self.receiver.kappa_l, self.receiver.beta
+        expected = absorption(off_delta, kl, beta) / absorption(0.0, kl, beta)
         assert s_off.sum() / s_on.sum() == pytest.approx(expected, rel=0.05)
 
     def test_reference_amplitude_snr_closure(self):

@@ -692,6 +692,7 @@ BAD_VALUES = {
     ("receiver", "n_a"): ["-1"],
     ("receiver", "fridge_temp_k"): ["-1"],
     ("receiver", "n_f"): ["0.1"],
+    ("receiver", "gain_db"): ["3100", "-3000"],  # beyond +-1000 dB the powers overflow or underflow
     ("calibration", "cal_every"): ["0"],
     ("calibration", "t_hot_k"): ["0.01"],
     ("calibration", "t_cold_k"): ["-1"],
@@ -723,7 +724,7 @@ BAD_VALUES = {
     ("inference", "xtol"): ["0"],
     ("output", "directory"): [""],
 }
-EXEMPT_KEYS = {("receiver", "gain_db"), ("cuts", "squeezing_db_min")}
+EXEMPT_KEYS = {("cuts", "squeezing_db_min")}
 
 
 def bad_value_cases():

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import numpy.fft  # noqa: F401  numpy loads it on first use; here, no stage pays for it
 
-from haloscan import axion, campaign, cli, pipeline, receiver
+from haloscan import artifacts, cli, pipeline, receiver
 from haloscan.config import load_config
 from haloscan.inference import run_exclusion
 from haloscan.pipeline import STAGE2_CHUNK, GrandSpectrum, read_grand_spectrum
@@ -70,17 +70,10 @@ EXCLUSION_BOUND = 4.5
 # the initial grand spectrum alive throughout.
 EXCLUDE_STAGE_BOUND = 17.5
 
-# Every cache a stage fills, so that a stage traced after another test has
-# warmed them still pays for what it caches.
-CACHES = (axion._kernel_weights, campaign._shared_baseline, pipeline._savgol_kernel,
-          pipeline._kernel_spectrum, pipeline.measure_filter_transfer,
-          receiver._reflectance_template, receiver._noise_template,
-          receiver._lorentzian_shape)
-
-
 def peak_traced_bytes(stage, cfg, ws):
-    """Peak traced bytes of one stage, run with every cache cold."""
-    for cache in CACHES:
+    """Peak traced bytes of one stage, run with every cache cold, so that a
+    stage traced after another test has warmed them still pays for them."""
+    for cache in artifacts.CACHES:
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -179,7 +172,7 @@ def test_templates_miss_once_per_receiver_state(tmp_path):
 
     ini = tmp_path / "five.ini"
     ini.write_text(SMALL_INI)
-    for cache in CACHES:
+    for cache in artifacts.CACHES:
         cache.cache_clear()
     assert cli.main(["all", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
     # One cavity geometry; the science (and meas2) and meas3 noise, squeezer
